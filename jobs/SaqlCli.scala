@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.QueryEngine
+import repro.core.{Columns, QueryEngine}
 import repro.events.{AttackTrace, StreamReplayer}
 import repro.queries.DemoQueries
 import repro.saql.Parser
@@ -10,20 +10,12 @@ import repro.saql.Parser
   * the replayed system-monitoring stream and print the alerts.
   *
   * Usage (spark-submit --class repro.jobs.SaqlCli):
-  *   SaqlCli <query>            query = demo query name (r1..r5, a1..a3)
-  *                              or a path to a .saql file
+  *   SaqlCli <query>            query = demo query name prefix (r1..r5,
+  *                              a1..a3), or a path to a .saql file
   *   [--sf 0.01] [--attack-start 1800000] [--agents 0,1]
   *   [--start 0] [--end <ms>]   replay window, as in the stream replayer UI
   */
 object SaqlCli {
-
-  private val demo: Map[String, Long => repro.saql.Ast.SaqlQuery] = Map(
-    "r1" -> DemoQueries.r1InitialCompromise, "r2" -> DemoQueries.r2MalwareInfection,
-    "r3" -> DemoQueries.r3PrivilegeEscalation, "r4" -> DemoQueries.r4Penetration,
-    "r5" -> DemoQueries.r5DataExfiltration,
-    "a1" -> ((v: Long) => DemoQueries.a1InvariantExcel(v)),
-    "a2" -> DemoQueries.a2TimeSeriesSma, "a3" -> DemoQueries.a3OutlierDbscan,
-  )
 
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: SaqlCli <query-name|query-file> [options]")
@@ -33,22 +25,18 @@ object SaqlCli {
     val sf = opts.get("sf").map(_.toDouble).getOrElse(0.01)
     val attackStart = opts.get("attack-start").map(_.toLong).getOrElse(1_800_000L)
 
+    val q = DemoQueries.all().map(_._2)
+      .find(_.name.startsWith(args(0) + "_")).getOrElse {
+        val src = new String(
+          java.nio.file.Files.readAllBytes(java.nio.file.Paths.get(args(0))))
+        Parser.parse(src, args(0))
+      }
+    val plan = Columns.compile(q) // reject a malformed query before Spark starts
+    println(s"[saql] executing query '${q.name}' (${q.modelType})")
+
     val spark = SparkSession.builder().appName("saql-cli")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
-      val victimHostForDemo = 0L
-      val dbHostForDemo = 1L
-      val q = demo.get(args(0)) match {
-        case Some(mk) =>
-          val agent = if (Set("r4", "r5", "a2", "a3").contains(args(0)))
-            dbHostForDemo else victimHostForDemo
-          mk(agent)
-        case None =>
-          val src = new String(
-            java.nio.file.Files.readAllBytes(java.nio.file.Paths.get(args(0))))
-          Parser.parse(src, args(0))
-      }
-      println(s"[saql] executing query '${q.name}' (${q.modelType})")
 
       var stream = AttackTrace.withBackground(spark, sf = sf,
         attackStartMs = attackStart)
@@ -58,7 +46,7 @@ object SaqlCli {
         opts.get("start").map(_.toLong).getOrElse(0L),
         opts.get("end").map(_.toLong).getOrElse(Long.MaxValue))
 
-      val alerts = QueryEngine.run(stream, q)
+      val alerts = QueryEngine.run(stream, plan)
       if (alerts.isEmpty) println("[saql] no alerts")
       else alerts.foreach(a => println(s"[saql] ALERT $a"))
     } finally spark.stop()

@@ -2,9 +2,57 @@ package repro.core
 
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
+import repro.events.SystemEvent
 import repro.saql.Ast._
 
-/** Maps SAQL attribute names onto [[repro.events.SystemEvent]] columns.
+/** One event pattern of a rule query, in chain order: its Catalyst
+  * predicate and the condition joining it to the patterns before it in the
+  * chain (`None` for the head, or when nothing relates them: a cross join).
+  */
+final case class PatternPlan(alias: String, predicate: Column, join: Option[Column])
+
+/** `name := func(column)`: one window aggregate over a resolved column. */
+final case class StateAgg(name: String, func: String, column: String)
+
+/** DBSCAN over each window's group points, one coordinate per state field. */
+final case class ClusterPlan(fields: Seq[String], eps: Double, minPts: Int)
+
+/** A SAQL query with every name resolved and checked, as produced by
+  * [[Columns.compile]]. Batch, streaming and the scheduler all execute
+  * this form; none of them resolves a name again.
+  */
+sealed trait QueryPlan {
+  def query: SaqlQuery
+  /** OR of the pattern predicates: every event some pattern could match. */
+  def candidate: Column
+  def name: String = query.name
+}
+
+/** A rule query: the pattern chain and the return projection as
+  * (label, alias-prefixed match column) pairs, e.g. `p1 -> evt1__subj_exe`.
+  */
+final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
+                          returns: Seq[(String, String)]) extends QueryPlan {
+  val candidate: Column = patterns.map(_.predicate).reduce(_ || _)
+
+  /** The return items plus `__alert_ts`, selected from the match output. */
+  def returnColumns: Seq[Column] =
+    returns.map { case (label, c) => col(c).as(label) } :+ col("__alert_ts")
+}
+
+/** A stateful query (time-series, invariant or outlier): the window, the
+  * group keys as (label, event column), the aggregates, and the bindings
+  * its alert / return / invariant expressions evaluate against:
+  * `keyIndex` gives the group-key position of every attribute they name.
+  */
+final case class StatePlan(query: SaqlQuery, candidate: Column,
+                           window: WindowSpec, keys: Seq[(String, String)],
+                           aggs: Seq[StateAgg], keyIndex: Map[FieldRef, Int],
+                           cluster: Option[ClusterPlan]) extends QueryPlan
+
+/** The SAQL query compiler: maps SAQL attribute names onto
+  * [[repro.events.SystemEvent]] columns and turns a parsed query into the
+  * [[QueryPlan]] every execution layer runs.
   *
   * Resolution is role-sensitive: `p.exe_name` maps to `subj_exe` when `p`
   * is a pattern's subject and to `obj_exe` when it is the object of a
@@ -17,6 +65,8 @@ object Columns {
     "amount" -> "amount", "ts" -> "ts", "time" -> "ts", "agentid" -> "agentid",
     "op" -> "op", "id" -> "event_id", "type" -> "event_type")
 
+  private def fail(msg: String): Nothing = throw new IllegalArgumentException(msg)
+
   /** Resolve an entity attribute for a given kind + role to a column name. */
   def entityColumn(kind: EntityKind, role: String, attr: String): String =
     (kind, attr) match {
@@ -28,9 +78,7 @@ object Columns {
       case (IpKind, "srcip")   => "src_ip"
       case (IpKind, "dstport") => "dst_port"
       case (IpKind, "srcport") => "src_port"
-      case _ =>
-        throw new IllegalArgumentException(
-          s"unknown attribute '$attr' for entity kind '${kind.keyword}'")
+      case _ => fail(s"unknown attribute '$attr' for entity kind '${kind.keyword}'")
     }
 
   /** Identity attributes used for implicit shared-variable joins. */
@@ -47,30 +95,23 @@ object Columns {
     case IpKind   => "network"
   }
 
-  /** Resolve a [[FieldRef]] within a query to an event column name. Aliases
-    * (`evt`, `evt1`, …) resolve through [[eventAttrs]]; entity variables
-    * resolve through their first pattern occurrence, defaulting the
-    * attribute per kind (`p` -> `exe_name`).
+  /** The one name resolver: the (pattern alias, event column) a
+    * [[FieldRef]] reads. Aliases (`evt`, `evt1`, …) resolve through
+    * [[eventAttrs]]; entity variables resolve through their first pattern
+    * occurrence, defaulting the attribute per kind (`p` -> `exe_name`); a
+    * bare event attribute (`agentid`) reads the first pattern's event.
     */
-  def resolve(q: SaqlQuery, ref: FieldRef): String = {
-    val isAlias = q.patterns.exists(_.alias == ref.varName)
-    if (isAlias) {
-      val a = ref.attr.getOrElse(
-        throw new IllegalArgumentException(s"event alias '${ref.varName}' needs an attribute"))
-      eventAttrs.getOrElse(a,
-        throw new IllegalArgumentException(s"unknown event attribute '$a'"))
-    } else {
-      q.varOccurrences.get(ref.varName) match {
-        case Some(occ) =>
-          val (_, role, decl) = occ.head
-          entityColumn(decl.kind, role, ref.attr.getOrElse(decl.kind.defaultAttr))
-        case None =>
-          // Fall back to a raw event attribute (e.g. `agentid` in return).
-          eventAttrs.getOrElse(ref.attr.getOrElse(ref.varName),
-            throw new IllegalArgumentException(s"unknown variable '${ref.varName}'"))
-      }
+  private def resolve(q: SaqlQuery, ref: FieldRef): (String, String) =
+    if (q.patterns.exists(_.alias == ref.varName)) {
+      val a = ref.attr.getOrElse(fail(s"event alias '${ref.varName}' needs an attribute"))
+      ref.varName -> eventAttrs.getOrElse(a, fail(s"unknown event attribute '$a'"))
+    } else q.varOccurrences.get(ref.varName) match {
+      case Some((alias, role, decl) +: _) =>
+        alias -> entityColumn(decl.kind, role, ref.attr.getOrElse(decl.kind.defaultAttr))
+      case _ if ref.attr.isEmpty && eventAttrs.contains(ref.varName) =>
+        q.patterns.head.alias -> eventAttrs(ref.varName)
+      case _ => fail(s"unknown variable '${ref.varName}'")
     }
-  }
 
   /** Comparison on a column against a SAQL literal: numeric when the value
     * parses as a number, LIKE when it contains `%`, string equality else.
@@ -88,8 +129,7 @@ object Columns {
       case (">=", Some(d))                  => c >= d
       case ("=", None)                      => c === value
       case ("!=", None)                     => c =!= value
-      case (o, _) =>
-        throw new IllegalArgumentException(s"unsupported comparison '$o' on '$value'")
+      case (o, _) => fail(s"unsupported comparison '$o' on '$value'")
     }
   }
 
@@ -97,7 +137,7 @@ object Columns {
     * plus the query's global constraints — the Catalyst predicate that
     * selects this pattern's candidate events.
     */
-  def patternPredicate(q: SaqlQuery, p: EventPattern): Column = {
+  private def patternPredicate(q: SaqlQuery, p: EventPattern): Column = {
     val base = col("event_type") === eventTypeOf(p.obj.kind) &&
       col("op").isin(p.ops: _*)
     // Merge constraints from every occurrence of the same variable: re-used
@@ -109,8 +149,109 @@ object Columns {
       compare(col(entityColumn(p.subj.kind, "subj", ap.attr)), ap.op, ap.value))
     val objC = predsFor(p.obj).map(ap =>
       compare(col(entityColumn(p.obj.kind, "obj", ap.attr)), ap.op, ap.value))
-    val globalC = q.globals.map(g =>
-      compare(col(eventAttrs.getOrElse(g.attr, g.attr)), g.op, g.value))
+    val globalC = q.globals.map { g =>
+      val c = eventAttrs.get(g.attr).orElse(SystemEvent.columns.find(_ == g.attr))
+        .getOrElse(fail(s"unknown global attribute '${g.attr}'"))
+      compare(col(c), g.op, g.value)
+    }
     (Seq(base) ++ subjC ++ objC ++ globalC).reduce(_ && _)
   }
+
+  /** The query's patterns in chain order (the `with` chain when it names
+    * every pattern, else declaration order), each with the condition that
+    * joins it to the ones before it: shared-variable identity equalities
+    * plus the temporal order of adjacent chain elements.
+    */
+  private def chain(q: SaqlQuery): Seq[PatternPlan] = {
+    val order: Seq[EventPattern] = q.temporal match {
+      case Some(c) if c.toSet == q.patterns.map(_.alias).toSet =>
+        c.map(a => q.patterns.find(_.alias == a).get)
+      case _ => q.patterns
+    }
+    val occ = q.varOccurrences
+    val chainPairs: Seq[(String, String)] =
+      q.temporal.map(c => c.zip(c.tail)).getOrElse(Nil)
+    def varCol(alias: String, role: String, kind: EntityKind, attr: String): Column =
+      col(s"${alias}__${entityColumn(kind, role, attr)}")
+    order.zipWithIndex.map { case (p, i) =>
+      val joined = order.take(i).map(_.alias).toSet
+      val varConds = for {
+        (_, occs) <- occ.toSeq
+        (aR, roleR, declR) <- occs if aR == p.alias
+        (aL, roleL, declL) <- occs if joined.contains(aL)
+        idAttr <- identityAttrs(declR.kind)
+      } yield varCol(aL, roleL, declL.kind, idAttr) ===
+              varCol(aR, roleR, declR.kind, idAttr)
+      val tsConds = chainPairs.collect {
+        case (a, b) if b == p.alias && joined.contains(a) =>
+          col(s"${a}__ts") < col(s"${p.alias}__ts")
+        case (a, b) if a == p.alias && joined.contains(b) =>
+          col(s"${p.alias}__ts") < col(s"${b}__ts")
+      }
+      PatternPlan(p.alias, patternPredicate(q, p), (varConds ++ tsConds).reduceOption(_ && _))
+    }
+  }
+
+  /** Every leaf of an expression tree. */
+  private def leaves(e: Expr): Seq[Expr] = e match {
+    case Bin(_, l, r) => leaves(l) ++ leaves(r)
+    case SetCard(x)   => leaves(x)
+    case leaf         => Seq(leaf)
+  }
+
+  /** Compile a parsed query into its [[QueryPlan]]. Pure: it reads no data
+    * and starts no Spark job, so every name or argument error surfaces
+    * here, as an `IllegalArgumentException`, before execution begins.
+    */
+  def compile(q: SaqlQuery): QueryPlan =
+    if (q.modelType == RuleModel) {
+      val returns = q.ret.items.map {
+        case AttrRef(ref) =>
+          val (alias, c) = resolve(q, ref)
+          ref.colName -> s"${alias}__$c"
+        case other =>
+          fail(s"rule-based return items must be entity/event attributes, got $other")
+      }
+      RulePlan(q, chain(q), returns)
+    } else {
+      val sb = q.state.getOrElse(
+        fail(s"query '${q.name}': stateful model needs a state block"))
+      val window = q.window.getOrElse(
+        fail(s"stateful query '${q.name}' needs #time(...)"))
+      val keys = sb.groupBy.map(r => r.colName -> resolve(q, r)._2)
+      val aggs = sb.defs.map { d =>
+        if (!StateMaintainer.aggregates.contains(d.func))
+          fail(s"unknown aggregate '${d.func}'")
+        StateAgg(d.name, d.func, resolve(q, d.arg)._2)
+      }
+      val fields = sb.defs.map(_.name).toSet
+      val exprs = q.alert.toSeq ++ q.ret.items ++
+        q.invariant.toSeq.flatMap(ib => Seq(ib.init, ib.update))
+      val keyIndex = exprs.flatMap(leaves).flatMap {
+        case AttrRef(ref) =>
+          val i = keys.map(_._2).indexOf(resolve(q, ref)._2)
+          if (i < 0) fail(s"'$ref' is not a group-by key of query '${q.name}'")
+          Some(ref -> i)
+        case StateRef(s, _, f) if s != sb.name || !fields(f) =>
+          fail(s"unknown state field '$s.$f' in query '${q.name}'")
+        case InvRef(n) if !q.invariant.exists(_.varName == n) =>
+          fail(s"unknown invariant variable '$n' in query '${q.name}'")
+        case _ => None
+      }.toMap
+      val cluster = q.cluster.map { cb =>
+        if (cb.distance != "ed")
+          fail(s"query '${q.name}': unsupported cluster distance '${cb.distance}' (only \"ed\")")
+        if (cb.method != "DBSCAN")
+          fail(s"query '${q.name}': unsupported cluster method '${cb.method}' (only DBSCAN)")
+        if (cb.args.size < 2)
+          fail(s"query '${q.name}': DBSCAN needs (eps, minPts) args, got ${cb.args}")
+        ClusterPlan(cb.points.map { f =>
+          val field = f.attr.getOrElse(f.varName)
+          if (fields(field)) field
+          else fail(s"query '${q.name}': unknown state field '$field' in cluster points")
+        }, cb.args(0), cb.args(1).toInt)
+      }
+      StatePlan(q, q.patterns.map(patternPredicate(q, _)).reduce(_ || _),
+        window, keys, aggs, keyIndex, cluster)
+    }
 }

@@ -22,46 +22,49 @@ final case class AlertRecord(
 
 /** The SAQL anomaly query engine.
   *
-  * Dispatches a parsed query to its anomaly-model evaluator:
+  * Compiles a parsed query ([[Columns.compile]]) and dispatches the plan
+  * to its anomaly-model evaluator:
   *   - rule-based       -> multi-event matcher (Catalyst joins);
   *   - time-series      -> window states + `ss[k]` history ring + alert expr;
   *   - invariant-based  -> train on the first N windows, then detect;
   *   - outlier-based    -> per-window DBSCAN over group states.
   *
   * Runs over a bounded event DataFrame (the replayer's batch view of the
-  * stream); [[repro.streaming.StreamingRunner]] executes the same compiled
-  * operators incrementally on Structured Streaming.
+  * stream); [[repro.streaming.StreamingRunner]] executes the same plans
+  * incrementally on Structured Streaming.
   */
 object QueryEngine {
 
-  def run(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = q.modelType match {
-    case RuleModel => runRule(events, q)
-    case _         => runStateful(events, q)
+  def run(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] =
+    run(events, Columns.compile(q))
+
+  def run(events: DataFrame, plan: QueryPlan): Seq[AlertRecord] = plan match {
+    case r: RulePlan  => runRule(events, r)
+    case s: StatePlan => runStateful(events, s)
   }
 
   // ------------------------------------------------------------------ rule
 
-  private def runRule(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = {
-    val projected = EventMatcher.project(EventMatcher.matches(events, q), q)
-    val names = q.ret.items.collect { case AttrRef(r) => r.colName }
+  private def runRule(events: DataFrame, plan: RulePlan): Seq[AlertRecord] = {
+    val projected = EventMatcher.project(EventMatcher.matches(events, plan), plan)
+    val names = plan.returns.map(_._1)
     projected.collect().toSeq.map { r =>
       val ts = r.getAs[Long]("__alert_ts")
       val vals = names.map(n => n -> String.valueOf(r.getAs[Any](n))).toMap
-      AlertRecord(q.name, -1L, ts, vals)
+      AlertRecord(plan.name, -1L, ts, vals)
     }.sortBy(_.ts)
   }
 
   // -------------------------------------------------------------- stateful
 
-  private def runStateful(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = {
-    val sb = q.state.getOrElse(
-      throw new IllegalArgumentException(s"query '${q.name}': stateful model needs a state block"))
-    val w  = q.window.get
-    val statesDf  = StateMaintainer.states(events, q)
-    val byWindow  = StateMaintainer.collectStates(statesDf, q)
-    val funcOf    = sb.defs.map(d => d.name -> d.func).toMap
+  private def runStateful(events: DataFrame, plan: StatePlan): Seq[AlertRecord] = {
+    val q = plan.query
+    val w = plan.window
+    val statesDf  = StateMaintainer.states(events, plan)
+    val byWindow  = StateMaintainer.collectStates(statesDf, plan)
+    val setFields = plan.aggs.filter(_.func == "set").map(_.name).toSet
     def defaultVal(field: String): Value =
-      if (funcOf.get(field).contains("set")) SetV(Set.empty) else NumV(0.0)
+      if (setFields(field)) SetV(Set.empty) else NumV(0.0)
 
     // (group key, window) -> state values; windows are few, keep them all.
     val history = mutable.HashMap.empty[(Seq[String], Long), Map[String, Value]]
@@ -80,16 +83,10 @@ object QueryEngine {
       val training = q.invariant.isDefined && (win - firstWin) < trainTotal
 
       // DBSCAN over this window's group points, if the query clusters.
-      val outlierOf: Map[Seq[String], Boolean] = q.cluster match {
-        case Some(cb) =>
-          require(cb.args.size >= 2,
-            s"query '${q.name}': DBSCAN needs (eps, minPts) args, got ${cb.args}")
-          val points = rows.map { r =>
-            cb.points.map(f => r.vals.getOrElse(f.attr.getOrElse(f.varName),
-              throw new IllegalArgumentException(s"unknown state field in cluster points: $f")).asNum).toArray
-          }.toIndexedSeq
-          val Seq(eps, minPts) = cb.args.take(2)
-          val noise = DBSCAN.outliers(points, eps, minPts.toInt)
+      val outlierOf: Map[Seq[String], Boolean] = plan.cluster match {
+        case Some(c) =>
+          val points = rows.map(r => c.fields.map(f => r.vals(f).asNum).toArray).toIndexedSeq
+          val noise = DBSCAN.outliers(points, c.eps, c.minPts)
           rows.zipWithIndex.map { case (r, i) => r.key -> noise(i) }.toMap
         case None => Map.empty
       }
@@ -99,21 +96,9 @@ object QueryEngine {
           def stateRef(idx: Int, field: String): Value =
             history.getOrElse((r.key, win - idx), Map.empty)
               .getOrElse(field, defaultVal(field))
-          def attrRef(ref: FieldRef): Value = {
-            val i = sb.groupBy.indexWhere(g =>
-              g.varName == ref.varName &&
-                (ref.attr.isEmpty || g.attr == ref.attr ||
-                 (g.attr.isEmpty && ref.attr.isDefined)))
-            if (i >= 0) StrV(r.key(i))
-            else throw new IllegalArgumentException(
-              s"'$ref' is not a group-by key of query '${q.name}'")
-          }
-          def invRef(name: String): Value = q.invariant match {
-            case Some(ib) =>
-              inv.getOrElseUpdate(r.key, Eval.eval(ib.init, this))
-            case None =>
-              throw new IllegalArgumentException(s"no invariant variable '$name'")
-          }
+          def attrRef(ref: FieldRef): Value = StrV(r.key(plan.keyIndex(ref)))
+          def invRef(name: String): Value =
+            inv.getOrElseUpdate(r.key, Eval.eval(q.invariant.get.init, this))
           def clusterOutlier: Boolean = outlierOf.getOrElse(r.key, false)
         }
 
@@ -126,7 +111,7 @@ object QueryEngine {
           if (fire) {
             val vals = q.ret.items.map(item =>
               Eval.label(item) -> Eval.eval(item, env).render).toMap
-            alerts += AlertRecord(q.name, win, win * w.slideMs + w.lengthMs, vals)
+            alerts += AlertRecord(plan.name, win, win * w.slideMs + w.lengthMs, vals)
           }
           // Online invariants keep learning after training (each detected
           // novelty is absorbed once reported); offline ones stay frozen.

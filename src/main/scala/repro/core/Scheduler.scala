@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.saql.Ast._
 
 /** The concurrent query scheduler with the paper's master-dependent-query
@@ -47,29 +46,24 @@ object Scheduler {
   def subsumes(a: SaqlQuery, b: SaqlQuery): Boolean =
     signature(a) == signature(b) && predTriples(a).subsetOf(predTriples(b))
 
-  /** One scheduled group: the member master (if one subsumes all) or a
-    * synthesized union filter, plus the dependent queries.
+  /** One scheduled group of compiled members: the member master (if one
+    * subsumes all) or none, in which case the union of every member's
+    * candidates stands in for it.
     */
-  final case class Group(sig: Signature, members: Seq[SaqlQuery],
-                         master: Option[SaqlQuery]) {
+  final case class Group(sig: Signature, members: Seq[QueryPlan],
+                         master: Option[QueryPlan]) {
     /** Filter selecting every event any member's patterns could match. */
-    def masterFilter(events: DataFrame): DataFrame = master match {
-      case Some(m) =>
-        events.filter(
-          m.patterns.map(p => Columns.patternPredicate(m, p)).reduce(_ || _))
-      case None =>
-        events.filter(members.flatMap(q =>
-          q.patterns.map(p => Columns.patternPredicate(q, p))).reduce(_ || _))
-    }
+    def masterFilter(events: DataFrame): DataFrame =
+      StateMaintainer.matchedEvents(events, master.fold(members)(Seq(_)): _*)
   }
 
-  /** Group queries by compatibility and elect masters. */
+  /** Compile the queries, group them by compatibility and elect masters. */
   def group(queries: Seq[SaqlQuery]): Seq[Group] =
-    queries.groupBy(signature).toSeq.sortBy(_._2.head.name).map {
-      case (sig, members) =>
-        val master = members.find(m => members.forall(o => subsumes(m, o)))
+    queries.map(Columns.compile).groupBy(p => signature(p.query)).toSeq
+      .sortBy(_._2.head.name).map { case (sig, members) =>
+        val master = members.find(m => members.forall(o => subsumes(m.query, o.query)))
         Group(sig, members, master)
-    }
+      }
 
   /** Execution statistics for the T3 comparison. */
   final case class ExecStats(
@@ -90,8 +84,9 @@ object Scheduler {
     */
   def runIndependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
+    val plans = queries.map(Columns.compile)
     val n  = events.count()
-    val alerts = queries.map(q => q.name -> QueryEngine.run(events, q)).toMap
+    val alerts = plans.map(p => p.name -> QueryEngine.run(events, p)).toMap
     val wall = (System.nanoTime() - t0) / 1_000_000
     ScheduledRun(alerts,
       ExecStats(queries.size, queries.size, n * queries.size,
@@ -103,8 +98,8 @@ object Scheduler {
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
-    val n  = events.count()
     val groups = group(queries)
+    val n  = events.count()
     var scanned = 0L
     var copied  = 0L
     val alerts = Map.newBuilder[String, Seq[AlertRecord]]
@@ -113,10 +108,10 @@ object Scheduler {
       val m = masterDf.count()
       scanned += n         // one full scan feeds the whole group
       copied += n          // the group's single stream copy
-      for (q <- g.members) {
+      for (p <- g.members) {
         // Dependent execution over the master's intermediate results: the
         // engine re-applies the dependent's own (stricter) predicates.
-        alerts += q.name -> QueryEngine.run(masterDf, q)
+        alerts += p.name -> QueryEngine.run(masterDf, p)
         if (g.members.size > 1) copied += m // dependent's view of master output
       }
       masterDf.unpersist()

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.saql.Ast._
+import repro.saql.Ast.WindowSpec
 
 /** The state maintainer: computes each sliding window's states from the
   * matched events, via Spark `groupBy(win, keys).agg(...)` — every
@@ -15,20 +15,14 @@ import repro.saql.Ast._
   */
 object StateMaintainer {
 
-  /** Aggregate column for one `name := func(arg)` state definition. */
-  def aggFor(q: SaqlQuery, d: StateDef): Column = {
-    val c = col(Columns.resolve(q, d.arg))
-    val a = d.func match {
-      case "avg"   => avg(c)
-      case "sum"   => sum(c).cast(DoubleType)
-      case "count" => count(c).cast(DoubleType)
-      case "max"   => max(c).cast(DoubleType)
-      case "min"   => min(c).cast(DoubleType)
-      case "set"   => collect_set(c.cast(StringType))
-      case f => throw new IllegalArgumentException(s"unknown aggregate '$f'")
-    }
-    a.as(d.name)
-  }
+  /** The SAQL state aggregates, by function name. */
+  val aggregates: Map[String, Column => Column] = Map(
+    "avg"   -> (c => avg(c)),
+    "sum"   -> (c => sum(c).cast(DoubleType)),
+    "count" -> (c => count(c).cast(DoubleType)),
+    "max"   -> (c => max(c).cast(DoubleType)),
+    "min"   -> (c => min(c).cast(DoubleType)),
+    "set"   -> (c => collect_set(c.cast(StringType))))
 
   /** Add the window-index column `__win`; explodes for overlapping windows. */
   def assignWindows(events: DataFrame, w: WindowSpec): DataFrame = {
@@ -42,27 +36,27 @@ object StateMaintainer {
     }
   }
 
-  /** Candidate events for a stateful query: union of its pattern
-    * predicates (stateful SAQL queries have a single pattern; if several,
-    * any match feeds the state).
+  /** Events any of the plans could match: the OR of their candidate
+    * predicates. One plan feeds its own state; a scheduler group's plans
+    * share one filtered copy of the stream.
     */
-  def matchedEvents(events: DataFrame, q: SaqlQuery): DataFrame =
-    events.filter(q.patterns.map(p => Columns.patternPredicate(q, p)).reduce(_ || _))
+  def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
+    events.filter(plans.map(_.candidate).reduce(_ || _))
+
+  /** Group `events` by `window` and the plan's keys and compute its state
+    * fields; shared by the batch and the streaming state paths.
+    */
+  def aggregate(events: DataFrame, window: Column, s: StatePlan): DataFrame = {
+    val keyCols = s.keys.map { case (label, c) => col(c).as(label) }
+    val aggs = s.aggs.map(a => aggregates(a.func)(col(a.column)).as(a.name))
+    events.groupBy(window +: keyCols: _*).agg(aggs.head, aggs.tail: _*)
+  }
 
   /** Per-window, per-group state DataFrame:
     * `__win`, group-key columns (named by their SAQL ref), state columns.
     */
-  def states(events: DataFrame, q: SaqlQuery): DataFrame = {
-    val sb = q.state.getOrElse(
-      throw new IllegalArgumentException(s"query '${q.name}' has no state block"))
-    val w = q.window.getOrElse(
-      throw new IllegalArgumentException(s"stateful query '${q.name}' needs #time(...)"))
-    val keyCols = sb.groupBy.map(r => col(Columns.resolve(q, r)).as(r.colName))
-    val aggs = sb.defs.map(d => aggFor(q, d))
-    assignWindows(matchedEvents(events, q), w)
-      .groupBy(col("__win") +: keyCols: _*)
-      .agg(aggs.head, aggs.tail: _*)
-  }
+  def states(events: DataFrame, s: StatePlan): DataFrame =
+    aggregate(assignWindows(matchedEvents(events, s), s.window), col("__win"), s)
 
   /** Driver-side snapshot of one group's state in one window. */
   final case class StateRow(win: Long, key: Seq[String], vals: Map[String, Eval.Value])
@@ -71,25 +65,23 @@ object StateMaintainer {
     * (windowIndex -> rows), windows sorted ascending. Group keys are
     * stringified; values become [[Eval.Value]]s.
     */
-  def collectStates(statesDf: DataFrame, q: SaqlQuery): Seq[(Long, Seq[StateRow])] = {
-    val sb = q.state.get
-    val keyNames = sb.groupBy.map(_.colName)
+  def collectStates(statesDf: DataFrame, s: StatePlan): Seq[(Long, Seq[StateRow])] = {
     val rows = statesDf.collect().toSeq.map { r =>
       val win = r.getAs[Long]("__win")
-      val key = keyNames.map(k => String.valueOf(r.getAs[Any](k)))
-      val vals: Map[String, Eval.Value] = sb.defs.map { d =>
-        val v: Eval.Value = d.func match {
+      val key = s.keys.map(k => String.valueOf(r.getAs[Any](k._1)))
+      val vals: Map[String, Eval.Value] = s.aggs.map { a =>
+        val v: Eval.Value = a.func match {
           case "set" =>
-            Eval.SetV(r.getAs[scala.collection.Seq[String]](d.name).toSet)
+            Eval.SetV(r.getAs[scala.collection.Seq[String]](a.name).toSet)
           case _ =>
-            val x = r.getAs[Any](d.name)
+            val x = r.getAs[Any](a.name)
             Eval.NumV(x match {
               case null      => 0.0
               case n: Number => n.doubleValue()
               case o         => o.toString.toDouble
             })
         }
-        d.name -> v
+        a.name -> v
       }.toMap
       StateRow(win, key, vals)
     }

@@ -10,8 +10,7 @@ import org.apache.spark.sql.types._
   * collection agents on auditd / ETW / DTrace). Generates deterministic
   * benign background activity — process starts, file I/O, network I/O —
   * for `nHosts(sf)` hosts over a configurable duration, built entirely from
-  * Spark column expressions so it is reproducible in `(sf, seed)` like
-  * [[repro.SynthData]].
+  * Spark column expressions so it is reproducible in `(sf, seed)`.
   *
   * Behavioural properties the anomaly queries rely on:
   *   - `apache.exe` / `excel.exe` spawn children from a small fixed set, so

@@ -1,6 +1,6 @@
 package repro.events
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** The paper's stream replayer: the demo stores monitoring data in
@@ -10,8 +10,7 @@ import org.apache.spark.sql.functions._
   * Two replay forms:
   *   - a bounded, time-ordered batch view (what the anomaly query engine
   *     consumes for a replayed interval);
-  *   - an iterator of micro-batches, for incremental/streaming execution
-  *     and for feed-rate simulation in the benchmarks.
+  *   - a JSON feed directory that a Structured Streaming file source tails.
   */
 object StreamReplayer {
 
@@ -27,30 +26,11 @@ object StreamReplayer {
   def ordered(events: DataFrame): DataFrame =
     events.orderBy(col("ts"), col("event_id"))
 
-  /** Replay as consecutive micro-batches of `batchMs` event-time each,
-    * over `[startMs, endMs)`. Batches may be empty; callers see every tick
-    * like a streaming trigger would.
-    */
-  def microBatches(events: DataFrame, batchMs: Long, startMs: Long,
-                   endMs: Long): Iterator[(Long, DataFrame)] = {
-    require(batchMs > 0, "batchMs must be positive")
-    val nBatches = math.max(1L, (endMs - startMs + batchMs - 1) / batchMs)
-    Iterator.range(0L, nBatches).map { b =>
-      val lo = startMs + b * batchMs
-      val hi = math.min(endMs, lo + batchMs)
-      b -> events.filter(col("ts") >= lo && col("ts") < hi)
-    }
-  }
-
-  /** Write the replayed stream as JSON part-files ordered by time bucket —
-    * the on-disk feed a Structured Streaming file source can tail. Returns
+  /** Write the replayed stream as JSON part-files — the on-disk feed a Structured Streaming file source can tail. Returns
     * the directory written.
     */
-  def writeFeed(events: DataFrame, dir: String, buckets: Int = 8): String = {
-    events
-      .withColumn("__bucket", (col("ts") % buckets).cast("int"))
-      .drop("__bucket")
-      .write.mode("overwrite").json(dir)
+  def writeFeed(events: DataFrame, dir: String): String = {
+    events.write.mode("overwrite").json(dir)
     dir
   }
 }

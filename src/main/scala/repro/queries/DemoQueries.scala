@@ -1,5 +1,6 @@
 package repro.queries
 
+import repro.events.AttackTrace.AttackerIp
 import repro.saql.Ast.SaqlQuery
 import repro.saql.Parser
 
@@ -16,8 +17,6 @@ import repro.saql.Parser
   * bound to the testbed's victim/db hosts and attacker IP.
   */
 object DemoQueries {
-
-  val AttackerIp = "203.0.113.129"
 
   /** c1 — initial compromise: the mail client materialises a macro-bearing
     * spreadsheet attachment.
@@ -79,14 +78,14 @@ object DemoQueries {
   /** Advanced query 1 — invariant-based (paper §III: "all unique processes
     * started by Excel in the first 100 sliding windows"; detects c2).
     */
-  def a1InvariantExcel(victim: Long, trainWindows: Int = 100): SaqlQuery = Parser.parse(
+  def a1InvariantExcel(victim: Long): SaqlQuery = Parser.parse(
     s"""
        |agentid = $victim
        |proc p1["%excel.exe"] start proc p2 as evt #time(10 s)
        |state ss {
        |  set_proc := set(p2.exe_name)
        |} group by p1
-       |invariant[$trainWindows][offline] {
+       |invariant[100][offline] {
        |  a := empty_set // invariant init
        |  a = a union ss.set_proc // invariant update
        |}

@@ -49,7 +49,7 @@ object Tables {
       "r5_data_exfiltration"  -> (v => v.get("p4").contains("sbblv.exe")),
       "a1_invariant_excel"    -> (v => v.get("ss_set_proc").exists(_.contains("wscript.exe"))),
       "a2_timeseries_sma"     -> (v => v.get("p").contains("sbblv.exe")),
-      "a3_outlier_dbscan"     -> (v => v.get("i_dstip").contains(DemoQueries.AttackerIp)),
+      "a3_outlier_dbscan"     -> (v => v.get("i_dstip").contains(AttackTrace.AttackerIp)),
     )
 
     val rows = DemoQueries.all().map { case (step, q) =>

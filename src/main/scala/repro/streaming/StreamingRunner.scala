@@ -1,73 +1,47 @@
 package repro.streaming
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{Columns, StateMaintainer}
-import repro.saql.Ast._
+import repro.core.{EventMatcher, RulePlan, StateMaintainer, StatePlan}
 
-/** Structured Streaming execution of compiled SAQL operators — the
-  * repro's "real-time event feed" path (the paper runs on Siddhi CEP;
-  * here the same operators run as Structured Streaming queries).
+/** Structured Streaming execution of compiled SAQL plans — the repro's
+  * "real-time event feed" path (the paper runs on Siddhi CEP; here the same
+  * operators run as Structured Streaming queries).
   *
-  * Two shapes cover the language:
-  *   - stateless pattern matching: a rule query's per-pattern predicate is
-  *     a streaming filter + projection (alerts stream out per event);
+  * Two shapes are covered:
+  *   - single-pattern rule queries: the pattern predicate is a streaming
+  *     filter + projection (alerts stream out per event);
   *   - windowed stateful computation: `state { … } group by` becomes a
-  *     sliding `window()` aggregation with a watermark; the collected
-  *     window states feed the same driver-side alert evaluator the batch
-  *     engine uses.
+  *     sliding `window()` aggregation with a watermark, in the same layout
+  *     as the batch [[StateMaintainer.states]].
+  * Multi-pattern sequence queries and alert evaluation run in batch only.
   */
 object StreamingRunner {
 
-  /** Event-time column for streaming windows (ms epoch -> timestamp). */
-  private def eventTime: Column = timestamp_millis(col("ts"))
-
-  /** Streaming filter for one pattern of a rule-based query: emits each
-    * matching event with the pattern's alias and the query name attached.
-    */
-  def patternStream(stream: DataFrame, q: SaqlQuery, p: EventPattern): DataFrame =
-    stream.filter(Columns.patternPredicate(q, p))
-      .withColumn("pattern_alias", lit(p.alias))
-      .withColumn("query", lit(q.name))
-
   /** Streaming single-pattern rule alerts with the query's return
-    * projection (multi-pattern sequences join across time and are executed
-    * by the micro-batch matcher; the paper's engine similarly buffers
-    * candidate events for multi-event patterns).
+    * projection (not de-duplicated: each matching event is an alert).
     */
-  def ruleAlerts(stream: DataFrame, q: SaqlQuery): DataFrame = {
-    require(q.patterns.size == 1,
-      s"streaming rule path handles single-pattern queries; '${q.name}' has ${q.patterns.size}")
-    val p = q.patterns.head
-    val items = q.ret.items.collect { case AttrRef(ref) =>
-      col(Columns.resolve(q, ref)).as(ref.colName)
-    }
-    stream.filter(Columns.patternPredicate(q, p))
-      .select(items :+ col("ts").as("__alert_ts"): _*)
+  def ruleAlerts(stream: DataFrame, plan: RulePlan): DataFrame = {
+    require(plan.patterns.size == 1,
+      s"streaming rule path handles single-pattern queries; '${plan.name}' has ${plan.patterns.size}")
+    EventMatcher.matches(stream, plan).select(plan.returnColumns: _*)
   }
 
   /** Sliding-window streaming aggregation computing the query's state
     * block: `window()` over event time with the query's length/slide and a
-    * `watermarkDelayMs` lateness bound. Output columns: `__win` (window
-    * index), group keys, state fields — identical to the batch
-    * [[StateMaintainer.states]] layout, so batch and streaming states are
-    * directly comparable (and are, in tests).
+    * zero-lateness watermark. Output columns: `__win` (window index), group
+    * keys, state fields — identical to the batch [[StateMaintainer.states]]
+    * layout, so batch and streaming states are directly comparable (and
+    * are, in tests).
     */
-  def windowStates(stream: DataFrame, q: SaqlQuery,
-                   watermarkDelayMs: Long = 0L): DataFrame = {
-    val sb = q.state.getOrElse(
-      throw new IllegalArgumentException(s"query '${q.name}' has no state block"))
-    val w = q.window.getOrElse(
-      throw new IllegalArgumentException(s"stateful query '${q.name}' needs #time(...)"))
-    val keyCols = sb.groupBy.map(r => col(Columns.resolve(q, r)).as(r.colName))
-    val aggs = sb.defs.map(d => StateMaintainer.aggFor(q, d))
+  def windowStates(stream: DataFrame, plan: StatePlan): DataFrame = {
+    val w = plan.window
+    val events = StateMaintainer.matchedEvents(stream, plan)
+      .withColumn("__event_time", timestamp_millis(col("ts")))
+      .withWatermark("__event_time", "0 milliseconds")
     val winCol = window(col("__event_time"), s"${w.lengthMs} milliseconds",
                         s"${w.slideMs} milliseconds")
-    StateMaintainer.matchedEvents(stream, q)
-      .withColumn("__event_time", eventTime)
-      .withWatermark("__event_time", s"$watermarkDelayMs milliseconds")
-      .groupBy(winCol.as("__window") +: keyCols: _*)
-      .agg(aggs.head, aggs.tail: _*)
+    StateMaintainer.aggregate(events, winCol.as("__window"), plan)
       .withColumn("__win",
         floor(unix_millis(col("__window.start")) / w.slideMs))
       .drop("__window")

@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.events.MonitoringData
 import repro.saql.Ast._
 import repro.saql.Parser
+import TestEvents.{rulePlan, statePlan}
 
 class ColumnsSpec extends SparkSpec {
 
@@ -41,19 +42,17 @@ class ColumnsSpec extends SparkSpec {
   }
 
   test("resolve: alias attribute and entity defaults") {
-    val q = Parser.parse("proc p write ip i as evt #time(1 min)\n" +
-      "state ss { a := avg(evt.amount) } group by p\nreturn p")
-    assert(Columns.resolve(q, FieldRef("evt", Some("amount"))) == "amount")
-    assert(Columns.resolve(q, FieldRef("p", None)) == "subj_exe")
-    assert(Columns.resolve(q, FieldRef("i", Some("dstip"))) == "dst_ip")
-    assert(Columns.resolve(q, FieldRef("i", None)) == "dst_ip") // ip default
+    val s = statePlan(Parser.parse("proc p write ip i as evt #time(1 min)\n" +
+      "state ss { a := avg(evt.amount) b := count(i.dstip) c := count(i) } " +
+      "group by p\nreturn p"))
+    assert(s.aggs.map(_.column) == Seq("amount", "dst_ip", "dst_ip")) // ip default
+    assert(s.keys == Seq("p" -> "subj_exe"))
   }
 
   test("resolve: object process attribute") {
-    val q = Parser.parse("proc p start proc c as evt #time(1 min)\n" +
-      "state ss { s := set(c.exe_name) } group by p\nreturn p")
-    assert(Columns.resolve(q, FieldRef("c", Some("exe_name"))) == "obj_exe")
-    assert(Columns.resolve(q, FieldRef("c", None)) == "obj_exe")
+    val s = statePlan(Parser.parse("proc p start proc c as evt #time(1 min)\n" +
+      "state ss { s := set(c.exe_name) t := set(c) } group by p\nreturn p"))
+    assert(s.aggs.map(_.column) == Seq("obj_exe", "obj_exe"))
   }
 
   test("compare: LIKE for % patterns, equality otherwise") {
@@ -81,7 +80,7 @@ class ColumnsSpec extends SparkSpec {
       """agentid = 0
         |proc p1["%apache.exe"] start proc p2 as evt1
         |return p1, p2""".stripMargin)
-    val m = df.filter(Columns.patternPredicate(q, q.patterns.head))
+    val m = df.filter(Columns.compile(q).candidate)
     assert(m.count() > 0)
     assert(m.filter(col("event_type") =!= "process").count() == 0)
     assert(m.filter(col("subj_exe") =!= "apache.exe").count() == 0)
@@ -90,7 +89,7 @@ class ColumnsSpec extends SparkSpec {
 
   test("pattern predicate honours op disjunction") {
     val q = Parser.parse("proc p read || write ip i as evt\nreturn p")
-    val m = df.filter(Columns.patternPredicate(q, q.patterns.head))
+    val m = df.filter(Columns.compile(q).candidate)
     assert(m.filter(!col("op").isin("read", "write")).count() == 0)
     assert(m.select("op").distinct().count() == 2)
   }
@@ -102,7 +101,64 @@ class ColumnsSpec extends SparkSpec {
         |return p1""".stripMargin)
     // evt2's f1 occurrence has no local preds, but inherits the LIKE
     // constraint from evt1's declaration of f1.
-    val m = df.filter(Columns.patternPredicate(q, q.patterns(1)))
+    val m = df.filter(rulePlan(q).patterns(1).predicate)
     assert(m.filter(!col("file_name").like("%backup1.dmp")).count() == 0)
+  }
+
+  // ------------------------------------------- compile-time rejections
+
+  private def rejects(src: String, why: String): Unit = {
+    val e = intercept[IllegalArgumentException](Columns.compile(Parser.parse(src)))
+    assert(e.getMessage.contains(why), e.getMessage)
+  }
+
+  private val netState = "proc p write ip i as evt #time(10 s)\n" +
+    "state ss { amt := sum(evt.amount) } group by p\n"
+
+  test("compile rejects an unknown state field in alert or return") {
+    rejects(netState + "alert ss.nope > 0\nreturn p, ss.amt", "unknown state field 'ss.nope'")
+    rejects(netState + "alert ss.amt > 0\nreturn p, ss[1].nope", "unknown state field 'ss.nope'")
+  }
+
+  test("compile rejects a return attribute that is not the group key") {
+    rejects(netState + "return p.pid, ss.amt", "not a group-by key")
+  }
+
+  test("compile rejects an unknown return variable") {
+    rejects("proc p1 write file f1 as evt1\nreturn distinct p1, zz", "unknown variable 'zz'")
+    rejects(netState + "return zz, ss.amt", "unknown variable 'zz'")
+  }
+
+  test("compile rejects an unknown global attribute") {
+    rejects("foo = 1\nproc p1 write file f1 as evt1\nreturn p1", "unknown global attribute 'foo'")
+  }
+
+  private val outlier = "proc p write ip i as evt #time(10 s)\n" +
+    "state ss { amt := sum(evt.amount) } group by i.dstip\n"
+
+  test("compile rejects an unknown cluster(points=...) field") {
+    rejects(outlier +
+      "cluster(points=all(ss.nope), distance=\"ed\", method=\"DBSCAN(10, 2)\")\n" +
+      "alert cluster.outlier\nreturn i.dstip", "unknown state field 'nope' in cluster points")
+  }
+
+  test("compile rejects DBSCAN with fewer than two args") {
+    rejects(outlier +
+      "cluster(points=all(ss.amt), distance=\"ed\", method=\"DBSCAN(10)\")\n" +
+      "alert cluster.outlier\nreturn i.dstip", "needs (eps, minPts)")
+  }
+
+  test("compile rejects a cluster distance other than ed or a method other than DBSCAN") {
+    rejects(outlier +
+      "cluster(points=all(ss.amt), distance=\"cosine\", method=\"DBSCAN(10, 2)\")\n" +
+      "alert cluster.outlier\nreturn i.dstip", "distance 'cosine'")
+    rejects(outlier +
+      "cluster(points=all(ss.amt), distance=\"ed\", method=\"KMEANS(10, 2)\")\n" +
+      "alert cluster.outlier\nreturn i.dstip", "method 'KMEANS'")
+  }
+
+  test("compile: a rule query's return evt1.id reads the event id") {
+    val r = rulePlan(Parser.parse("proc p1 write file f1 as evt1\nreturn evt1.id, p1"))
+    assert(r.returns == Seq("evt1_id" -> "evt1__event_id", "p1" -> "evt1__subj_exe"))
   }
 }

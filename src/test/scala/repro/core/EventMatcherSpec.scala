@@ -3,7 +3,9 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.events.{AttackTrace, MonitoringData}
+import repro.saql.Ast.SaqlQuery
 import repro.saql.Parser
+import TestEvents.rulePlan
 
 /** Multi-event matcher: Catalyst sequence joins, oracle-checked on DuckDB. */
 class EventMatcherSpec extends SparkSpec {
@@ -12,12 +14,17 @@ class EventMatcherSpec extends SparkSpec {
     AttackTrace.withBackground(spark, sf = 0.002, seed = 0, attackStartMs = 1_800_000L)
       .cache()
 
+  private def projected(q: SaqlQuery) = {
+    val plan = rulePlan(q)
+    EventMatcher.project(EventMatcher.matches(stream, plan), plan)
+  }
+
   test("single-pattern match finds the phishing attachment write") {
     val q = Parser.parse(
       """agentid = 0
         |proc p1["%outlook.exe"] write file f1["%.xlsm"] as evt1
         |return distinct p1, f1""".stripMargin, "r1")
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     assert(out.length == 1)
     assert(out.head.getAs[String]("f1") == "/home/user/mail/invoice.xlsm")
   }
@@ -29,7 +36,7 @@ class EventMatcherSpec extends SparkSpec {
         |proc p2 write file f1["%.vbs"] as evt2
         |with evt1 -> evt2
         |return distinct p1, p2, f1""".stripMargin, "r2")
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     assert(out.length == 1)
     assert(out.head.getAs[String]("p2") == "wscript.exe")
   }
@@ -41,12 +48,12 @@ class EventMatcherSpec extends SparkSpec {
         |proc p2 write file f1["%.vbs"] as evt2
         |with evt2 -> evt1
         |return distinct p1, p2, f1""".stripMargin, "r2rev")
-    assert(EventMatcher.matches(stream, q).count() == 0)
+    assert(EventMatcher.matches(stream, rulePlan(q)).count() == 0)
   }
 
   test("the paper's Query 1 (4-pattern chain) matches exactly the exfiltration") {
     val q = repro.queries.DemoQueries.r5DataExfiltration(1L)
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     assert(out.length == 1)
     val r = out.head
     assert(r.getAs[String]("p1") == "cmd.exe")
@@ -59,7 +66,7 @@ class EventMatcherSpec extends SparkSpec {
 
   test("alert timestamp is the last event of the first full match") {
     val q = repro.queries.DemoQueries.r5DataExfiltration(1L)
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     // First evt4 after evt3 (ts=1.8M+1.55M... the 1,560,000 offset exfil write).
     assert(out.head.getAs[Long]("__alert_ts") == 1_800_000L + 1_560_000L)
   }
@@ -71,14 +78,14 @@ class EventMatcherSpec extends SparkSpec {
         |proc p2 write file f1["%.vbs"] as evt2
         |with evt1 -> evt2
         |return distinct p1, p2, f1""".stripMargin)
-    assert(EventMatcher.matches(stream, q).count() == 0)
+    assert(EventMatcher.matches(stream, rulePlan(q)).count() == 0)
   }
 
   test("oracle: single-pattern projection equals DuckDB") {
     val q = Parser.parse(
       """proc p1["%gsecdump.exe"] read file f1 as evt1
         |return distinct p1, f1""".stripMargin)
-    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    val got = projected(q)
       .select("p1", "f1") // oracle compares scalar projections
     Oracle.assertEquivalent(got,
       """SELECT DISTINCT subj_exe AS p1, file_name AS f1
@@ -95,7 +102,7 @@ class EventMatcherSpec extends SparkSpec {
         |proc p2 write file f1 as evt2
         |with evt1 -> evt2
         |return distinct p1, p2, f1""".stripMargin)
-    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    val got = projected(q)
       .select("p1", "p2", "f1")
     Oracle.assertEquivalent(got,
       """SELECT DISTINCT a.subj_exe AS p1, a.obj_exe AS p2, b.file_name AS f1
@@ -118,7 +125,7 @@ class EventMatcherSpec extends SparkSpec {
         |proc p4["%sbblv.exe"] read file f1 as evt3
         |with evt2 -> evt3
         |return distinct p3, f1, p4""".stripMargin)
-    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    val got = projected(q)
       .select("p3", "f1", "p4")
     Oracle.assertEquivalent(got,
       """SELECT DISTINCT a.subj_exe AS p3, a.file_name AS f1, b.subj_exe AS p4
@@ -138,7 +145,7 @@ class EventMatcherSpec extends SparkSpec {
   test("no matches on benign-only stream for attack-specific patterns") {
     val benign = MonitoringData.events(spark, sf = 0.002, seed = 0)
     val q = repro.queries.DemoQueries.r5DataExfiltration(1L)
-    assert(EventMatcher.matches(benign, q).count() == 0)
+    assert(EventMatcher.matches(benign, rulePlan(q)).count() == 0)
   }
 
   test("ip identity join: same i1 across patterns joins on dstip") {
@@ -148,7 +155,7 @@ class EventMatcherSpec extends SparkSpec {
         |proc p2["%gsecdump.exe"] write ip i1 as evt2
         |with evt1 -> evt2
         |return distinct p1, p2, i1""".stripMargin)
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     assert(out.length == 1)
     assert(out.head.getAs[String]("i1") == AttackTrace.AttackerIp)
   }
@@ -158,7 +165,7 @@ class EventMatcherSpec extends SparkSpec {
       """agentid = 1
         |proc p4["%sbblv.exe"] write ip i1[dstip="203.0.113.129"] as evt1
         |return distinct p4, i1""".stripMargin)
-    val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
+    val out = projected(q).collect()
     assert(out.length == 1) // 5 events collapse to one distinct row
     assert(out.head.getAs[Long]("__alert_ts") == 1_800_000L + 930_000L)
   }

@@ -5,6 +5,7 @@ import repro.{Oracle, SparkSpec}
 import repro.events.MonitoringData
 import repro.saql.Ast.WindowSpec
 import repro.saql.Parser
+import TestEvents.statePlan
 
 /** Sliding-window state computation, oracle-checked against DuckDB. */
 class StateMaintainerSpec extends SparkSpec {
@@ -35,17 +36,17 @@ class StateMaintainerSpec extends SparkSpec {
   }
 
   test("matched events honour the pattern predicate") {
-    val m = StateMaintainer.matchedEvents(stream, q2)
+    val m = StateMaintainer.matchedEvents(stream, statePlan(q2))
     assert(m.filter(col("event_type") =!= "network" || col("op") =!= "write").count() == 0)
   }
 
   test("states layout: __win, group keys, state fields") {
-    val s = StateMaintainer.states(stream, q2)
+    val s = StateMaintainer.states(stream, statePlan(q2))
     assert(s.columns.toSeq == Seq("__win", "p", "avg_amount"))
   }
 
   test("oracle: avg state per window/group equals DuckDB") {
-    val s = StateMaintainer.states(stream, q2)
+    val s = StateMaintainer.states(stream, statePlan(q2))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       subj_exe AS p,
@@ -62,7 +63,7 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { amt := sum(evt.amount) } group by i.dstip
         |alert ss.amt > 0
         |return i.dstip, ss.amt""".stripMargin, "q4")
-    val s = StateMaintainer.states(stream, q4)
+    val s = StateMaintainer.states(stream, statePlan(q4))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       dst_ip AS i_dstip,
@@ -81,7 +82,7 @@ class StateMaintainerSpec extends SparkSpec {
         |mx := max(evt.amount) } group by p
         |alert ss.n > 0
         |return p, ss.n, ss.mx""".stripMargin, "qc")
-    val s = StateMaintainer.states(stream, q)
+    val s = StateMaintainer.states(stream, statePlan(q))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 1200000) AS BIGINT) AS __win,
         |       subj_exe AS p,
@@ -99,7 +100,7 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { set_proc := set(p2.exe_name) } group by p1
         |alert |ss.set_proc| > 0
         |return p1, ss.set_proc""".stripMargin, "q3")
-    val rows = StateMaintainer.states(stream, q3).collect()
+    val rows = StateMaintainer.states(stream, statePlan(q3)).collect()
     assert(rows.nonEmpty)
     rows.foreach { r =>
       val s = r.getAs[scala.collection.Seq[String]]("set_proc").toSet
@@ -109,7 +110,8 @@ class StateMaintainerSpec extends SparkSpec {
   }
 
   test("collectStates orders windows ascending and typed values") {
-    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, q2), q2)
+    val plan = statePlan(q2)
+    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
     val wins = byWin.map(_._1)
     assert(wins == wins.sorted)
     assert(byWin.head._2.forall(_.vals("avg_amount").isInstanceOf[Eval.NumV]))
@@ -117,7 +119,8 @@ class StateMaintainerSpec extends SparkSpec {
   }
 
   test("group keys match the grouping attribute") {
-    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, q2), q2)
+    val plan = statePlan(q2)
+    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
     val keys = byWin.flatMap(_._2).map(_.key.head).toSet
     assert(keys.contains("chrome.exe")) // benign network writers group by exe
     assert(!keys.exists(_ == "null"))
@@ -129,7 +132,7 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { a := avg(evt.amount) } group by p
         |alert ss.a > 0
         |return p""".stripMargin)
-    intercept[IllegalArgumentException](StateMaintainer.states(stream, q))
+    intercept[IllegalArgumentException](Columns.compile(q))
   }
 
   test("unknown aggregate function is rejected") {
@@ -138,6 +141,6 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { a := median(evt.amount) } group by p
         |alert ss.a > 0
         |return p""".stripMargin)
-    intercept[IllegalArgumentException](StateMaintainer.states(stream, q))
+    intercept[IllegalArgumentException](Columns.compile(q))
   }
 }

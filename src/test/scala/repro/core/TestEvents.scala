@@ -2,8 +2,11 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.events.SystemEvent
+import repro.saql.Ast.SaqlQuery
 
-/** Hand-crafted event streams for deterministic engine-semantics tests. */
+/** Hand-crafted event streams for deterministic engine-semantics tests, and
+  * typed access to compiled plans.
+  */
 object TestEvents {
 
   private var id = 0L
@@ -28,4 +31,8 @@ object TestEvents {
     import spark.implicits._
     events.toDF()
   }
+
+  def rulePlan(q: SaqlQuery): RulePlan = Columns.compile(q).asInstanceOf[RulePlan]
+
+  def statePlan(q: SaqlQuery): StatePlan = Columns.compile(q).asInstanceOf[StatePlan]
 }

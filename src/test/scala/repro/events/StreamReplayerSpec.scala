@@ -28,25 +28,6 @@ class StreamReplayerSpec extends SparkSpec {
     assert(keys == keys.sorted)
   }
 
-  test("micro-batches tile the interval without loss or overlap") {
-    val total = df.filter(col("ts") < 600000).count()
-    val batches = StreamReplayer.microBatches(df, batchMs = 100000, 0, 600000).toSeq
-    assert(batches.size == 6)
-    assert(batches.map(_._2.count()).sum == total)
-  }
-
-  test("micro-batches include empty ticks") {
-    val empty = df.filter(col("ts") < 0) // no rows
-    val batches = StreamReplayer.microBatches(empty, 1000, 0, 5000).toSeq
-    assert(batches.size == 5)
-    assert(batches.forall(_._2.count() == 0))
-  }
-
-  test("batch indexes are consecutive from zero") {
-    val idx = StreamReplayer.microBatches(df, 50000, 0, 250000).map(_._1).toSeq
-    assert(idx == Seq(0L, 1L, 2L, 3L, 4L))
-  }
-
   test("writeFeed produces a directory a batch reader round-trips") {
     val dir = java.nio.file.Files.createTempDirectory("feed").toString + "/out"
     StreamReplayer.writeFeed(df.limit(200), dir)

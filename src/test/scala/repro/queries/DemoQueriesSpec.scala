@@ -49,7 +49,7 @@ class DemoQueriesSpec extends SparkSpec {
     val alerts = QueryEngine.run(stream, DemoQueries.r4Penetration(1L))
     assert(alerts.size == 1)
     assert(alerts.head.values("p2") == "sbblv.exe")
-    assert(alerts.head.values("i1") == DemoQueries.AttackerIp)
+    assert(alerts.head.values("i1") == AttackTrace.AttackerIp)
   }
 
   test("r5 (paper Query 1) detects the c5 exfiltration chain") {
@@ -57,7 +57,7 @@ class DemoQueriesSpec extends SparkSpec {
     assert(alerts.size == 1)
     val v = alerts.head.values
     assert(v("p2") == "osql.exe" && v("p4") == "sbblv.exe" &&
-           v("f1") == "/data/backup1.dmp" && v("i1") == DemoQueries.AttackerIp)
+           v("f1") == "/data/backup1.dmp" && v("i1") == AttackTrace.AttackerIp)
   }
 
   test("rule queries raise no false alerts on benign-only hosts") {
@@ -92,7 +92,7 @@ class DemoQueriesSpec extends SparkSpec {
   test("a3 outlier query isolates the attacker IP via DBSCAN (c5)") {
     val alerts = QueryEngine.run(stream, DemoQueries.a3OutlierDbscan(1L))
     assert(alerts.nonEmpty)
-    assert(alerts.map(_.values("i_dstip")).toSet == Set(DemoQueries.AttackerIp))
+    assert(alerts.map(_.values("i_dstip")).toSet == Set(AttackTrace.AttackerIp))
     assert(alerts.forall(_.values("ss_amt").toDouble > 1_000_000))
   }
 

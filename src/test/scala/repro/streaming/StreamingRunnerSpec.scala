@@ -4,6 +4,7 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.{StateMaintainer, TestEvents}
+import repro.core.TestEvents.{rulePlan, statePlan}
 import repro.events.SystemEvent
 import repro.saql.Parser
 
@@ -37,7 +38,7 @@ class StreamingRunnerSpec extends SparkSpec {
       TestEvents.file(0, 2000L, "evil.exe", "write", "/tmp/loot"),
       TestEvents.file(0, 3000L, "evil.exe", "write", "/tmp/loot2"))
     streamOf(evs) { df =>
-      val q = StreamingRunner.ruleAlerts(df, ruleQuery)
+      val q = StreamingRunner.ruleAlerts(df, rulePlan(ruleQuery))
         .writeStream.format("memory").queryName("rule_out")
         .outputMode("append").start()
       try {
@@ -53,7 +54,7 @@ class StreamingRunnerSpec extends SparkSpec {
     val evs = (0 until 50).map(i =>
       TestEvents.net(0, i * 1000L, s"app${i % 3}.exe", "1.1.1.1", 100L + i))
     streamOf(evs) { df =>
-      val q = StreamingRunner.windowStates(df, smaQuery)
+      val q = StreamingRunner.windowStates(df, statePlan(smaQuery))
         .writeStream.format("memory").queryName("win_out")
         .outputMode("complete").start()
       try {
@@ -61,7 +62,7 @@ class StreamingRunnerSpec extends SparkSpec {
         val streaming = spark.table("win_out")
           .select("__win", "p", "avg_amount")
           .collect().map(_.toString).sorted.toSeq
-        val batch = StateMaintainer.states(TestEvents.df(spark, evs), smaQuery)
+        val batch = StateMaintainer.states(TestEvents.df(spark, evs), statePlan(smaQuery))
           .select("__win", "p", "avg_amount")
           .collect().map(_.toString).sorted.toSeq
         assert(streaming == batch)
@@ -79,35 +80,17 @@ class StreamingRunnerSpec extends SparkSpec {
     val evs = (0 until 30).map(i =>
       TestEvents.net(0, i * 1000L, "app.exe", "1.1.1.1", 100L))
     streamOf(evs) { df =>
-      val q = StreamingRunner.windowStates(df, slideQuery)
+      val q = StreamingRunner.windowStates(df, statePlan(slideQuery))
         .writeStream.format("memory").queryName("slide_out")
         .outputMode("complete").start()
       try {
         q.processAllAvailable()
         val streaming = spark.table("slide_out").select("__win", "p", "n")
           .collect().map(_.toString).sorted.toSeq
-        val batch = StateMaintainer.states(TestEvents.df(spark, evs), slideQuery)
+        val batch = StateMaintainer.states(TestEvents.df(spark, evs), statePlan(slideQuery))
           .select("__win", "p", "n")
           .collect().map(_.toString).sorted.toSeq
         assert(streaming == batch)
-      } finally q.stop()
-    }
-  }
-
-  test("patternStream tags matches with alias and query name") {
-    val evs = Seq(
-      TestEvents.file(0, 1000L, "evil.exe", "write", "/tmp/a"),
-      TestEvents.net(0, 2000L, "evil.exe", "1.1.1.1", 10L))
-    streamOf(evs) { df =>
-      val q = StreamingRunner.patternStream(df, ruleQuery, ruleQuery.patterns.head)
-        .writeStream.format("memory").queryName("pat_out")
-        .outputMode("append").start()
-      try {
-        q.processAllAvailable()
-        val out = spark.table("pat_out").collect()
-        assert(out.length == 1)
-        assert(out.head.getAs[String]("pattern_alias") == "evt1")
-        assert(out.head.getAs[String]("query") == "rule_stream")
       } finally q.stop()
     }
   }
@@ -118,7 +101,7 @@ class StreamingRunnerSpec extends SparkSpec {
       TestEvents.net(0, i * 1000L, "app.exe", "1.1.1.1", 20_000L))
     repro.events.StreamReplayer.writeFeed(TestEvents.df(spark, evs), dir)
     val stream = spark.readStream.schema(SystemEvent.schema).json(dir)
-    val q = StreamingRunner.windowStates(stream, smaQuery)
+    val q = StreamingRunner.windowStates(stream, statePlan(smaQuery))
       .writeStream.format("memory").queryName("file_out")
       .outputMode("complete").start()
     try {
