@@ -234,6 +234,8 @@ object Columns {
           Some(ref -> i)
         case StateRef(s, _, f) if s != sb.name || !fields(f) =>
           fail(s"unknown state field '$s.$f' in query '${q.name}'")
+        case StateRef(s, idx, f) if idx >= sb.history =>
+          fail(s"'$s[$idx].$f' is beyond the state history of ${sb.history} in query '${q.name}'")
         case InvRef(n) if !q.invariant.exists(_.varName == n) =>
           fail(s"unknown invariant variable '$n' in query '${q.name}'")
         case _ => None

@@ -40,8 +40,15 @@ object QueryEngine {
 
   def run(events: DataFrame, plan: QueryPlan): Seq[AlertRecord] = plan match {
     case r: RulePlan  => runRule(events, r)
-    case s: StatePlan => runStateful(events, s)
+    case s: StatePlan => runStates(events, Seq(s)).head
   }
+
+  /** Alerts per stateful plan, for plans sharing a window and group keys:
+    * one state aggregation and one collect for all of them.
+    */
+  def runStates(events: DataFrame, plans: Seq[StatePlan]): Seq[Seq[AlertRecord]] =
+    plans.zip(StateMaintainer.collectStates(StateMaintainer.states(events, plans), plans))
+      .map { case (p, byWindow) => evaluate(p, byWindow) }
 
   // ------------------------------------------------------------------ rule
 
@@ -57,17 +64,19 @@ object QueryEngine {
 
   // -------------------------------------------------------------- stateful
 
-  private def runStateful(events: DataFrame, plan: StatePlan): Seq[AlertRecord] = {
+  /** A stateful plan's alerts from its collected window states, windows
+    * ascending: alert, invariant and DBSCAN evaluation on the driver.
+    */
+  private def evaluate(plan: StatePlan, byWindow: Seq[(Long, StateMaintainer.WindowStates)]): Seq[AlertRecord] = {
     val q = plan.query
     val w = plan.window
-    val statesDf  = StateMaintainer.states(events, plan)
-    val byWindow  = StateMaintainer.collectStates(statesDf, plan)
     val setFields = plan.aggs.filter(_.func == "set").map(_.name).toSet
     def defaultVal(field: String): Value =
       if (setFields(field)) SetV(Set.empty) else NumV(0.0)
 
-    // (group key, window) -> state values; windows are few, keep them all.
-    val history = mutable.HashMap.empty[(Seq[String], Long), Map[String, Value]]
+    // The `history` most recent windows' states.
+    val depth = q.state.get.history
+    var recent = Map.empty[Long, StateMaintainer.WindowStates]
     // Invariant variable per group.
     val inv = mutable.HashMap.empty[Seq[String], Value]
     val trainTotal = q.invariant.map(_.trainWindows).getOrElse(0)
@@ -78,34 +87,34 @@ object QueryEngine {
 
     val alerts = Vector.newBuilder[AlertRecord]
 
-    for ((win, rows) <- byWindow) {
-      rows.foreach(r => history((r.key, win)) = r.vals)
+    for ((win, states) <- byWindow) {
+      recent = recent.filter(_._1 > win - depth) + (win -> states)
       val training = q.invariant.isDefined && (win - firstWin) < trainTotal
 
       // DBSCAN over this window's group points, if the query clusters.
       val outlierOf: Map[Seq[String], Boolean] = plan.cluster match {
         case Some(c) =>
-          val points = rows.map(r => c.fields.map(f => r.vals(f).asNum).toArray).toIndexedSeq
-          val noise = DBSCAN.outliers(points, c.eps, c.minPts)
-          rows.zipWithIndex.map { case (r, i) => r.key -> noise(i) }.toMap
+          val keys = states.keys.toIndexedSeq
+          val points = keys.map(k => c.fields.map(f => states(k)(f).asNum).toArray)
+          keys.zip(DBSCAN.outliers(points, c.eps, c.minPts)).toMap
         case None => Map.empty
       }
 
-      for (r <- rows) {
+      for (key <- states.keys) {
         val env = new Env {
           def stateRef(idx: Int, field: String): Value =
-            history.getOrElse((r.key, win - idx), Map.empty)
-              .getOrElse(field, defaultVal(field))
-          def attrRef(ref: FieldRef): Value = StrV(r.key(plan.keyIndex(ref)))
+            recent.get(win - idx).flatMap(_.get(key))
+              .flatMap(_.get(field)).getOrElse(defaultVal(field))
+          def attrRef(ref: FieldRef): Value = StrV(key(plan.keyIndex(ref)))
           def invRef(name: String): Value =
-            inv.getOrElseUpdate(r.key, Eval.eval(q.invariant.get.init, this))
-          def clusterOutlier: Boolean = outlierOf.getOrElse(r.key, false)
+            inv.getOrElseUpdate(key, Eval.eval(q.invariant.get.init, this))
+          def clusterOutlier: Boolean = outlierOf.getOrElse(key, false)
         }
 
         if (training) {
           // Invariant update: a = eval(update) with the current `a` bound.
           val ib = q.invariant.get
-          inv(r.key) = Eval.eval(ib.update, env)
+          inv(key) = Eval.eval(ib.update, env)
         } else {
           val fire = q.alert.forall(a => Eval.eval(a, env).asBool)
           if (fire) {
@@ -116,7 +125,7 @@ object QueryEngine {
           // Online invariants keep learning after training (each detected
           // novelty is absorbed once reported); offline ones stay frozen.
           q.invariant.filterNot(_.offline)
-            .foreach(ib => inv(r.key) = Eval.eval(ib.update, env))
+            .foreach(ib => inv(key) = Eval.eval(ib.update, env))
         }
       }
     }

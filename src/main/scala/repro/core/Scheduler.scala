@@ -50,19 +50,21 @@ object Scheduler {
     * subsumes all) or none, in which case the union of every member's
     * candidates stands in for it.
     */
-  final case class Group(sig: Signature, members: Seq[QueryPlan],
-                         master: Option[QueryPlan]) {
-    /** Filter selecting every event any member's patterns could match. */
-    def masterFilter(events: DataFrame): DataFrame =
-      StateMaintainer.matchedEvents(events, master.fold(members)(Seq(_)): _*)
+  final case class Group(members: Seq[QueryPlan], master: Option[QueryPlan])
+
+  /** Compile the queries; names must be distinct, as alerts are keyed by name. */
+  private def compile(queries: Seq[SaqlQuery]): Seq[QueryPlan] = {
+    val names = queries.map(_.name)
+    require(names.distinct == names, s"duplicate query names: ${names.diff(names.distinct).distinct.mkString(", ")}")
+    queries.map(Columns.compile)
   }
 
   /** Compile the queries, group them by compatibility and elect masters. */
   def group(queries: Seq[SaqlQuery]): Seq[Group] =
-    queries.map(Columns.compile).groupBy(p => signature(p.query)).toSeq
-      .sortBy(_._2.head.name).map { case (sig, members) =>
+    compile(queries).groupBy(p => signature(p.query)).toSeq
+      .sortBy(_._2.head.name).map { case (_, members) =>
         val master = members.find(m => members.forall(o => subsumes(m.query, o.query)))
-        Group(sig, members, master)
+        Group(members, master)
       }
 
   /** Execution statistics for the T3 comparison. */
@@ -84,7 +86,7 @@ object Scheduler {
     */
   def runIndependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
-    val plans = queries.map(Columns.compile)
+    val plans = compile(queries)
     val n  = events.count()
     val alerts = plans.map(p => p.name -> QueryEngine.run(events, p)).toMap
     val wall = (System.nanoTime() - t0) / 1_000_000
@@ -94,7 +96,9 @@ object Scheduler {
   }
 
   /** SAQL arm: one stream copy per group; dependents read the master's
-    * (much smaller) matched-event output.
+    * (much smaller) matched-event output. The group's stateful members
+    * that share keys run as one state aggregation over that copy, each
+    * re-applying its own (stricter) predicates as conditional aggregates.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
@@ -104,16 +108,19 @@ object Scheduler {
     var copied  = 0L
     val alerts = Map.newBuilder[String, Seq[AlertRecord]]
     for (g <- groups) {
-      val masterDf = g.masterFilter(events).cache()
+      // Every event a member's patterns could match.
+      val masterDf = StateMaintainer.matchedEvents(events, g.master.fold(g.members)(Seq(_)): _*).cache()
       val m = masterDf.count()
       scanned += n         // one full scan feeds the whole group
       copied += n          // the group's single stream copy
-      for (p <- g.members) {
-        // Dependent execution over the master's intermediate results: the
-        // engine re-applies the dependent's own (stricter) predicates.
-        alerts += p.name -> QueryEngine.run(masterDf, p)
-        if (g.members.size > 1) copied += m // dependent's view of master output
+      if (g.members.size > 1) copied += m * g.members.size // each member reads the master output
+      val (states, rules) = g.members.partitionMap {
+        case s: StatePlan => Left(s)
+        case r: RulePlan  => Right(r)
       }
+      rules.foreach(r => alerts += r.name -> QueryEngine.run(masterDf, r))
+      for (split <- states.groupBy(s => (s.window, s.keys.map(_._2))).values)
+        alerts ++= split.map(_.name).zip(QueryEngine.runStates(masterDf, split))
       masterDf.unpersist()
     }
     val wall = (System.nanoTime() - t0) / 1_000_000

@@ -123,15 +123,17 @@ object DemoQueries {
        |return i.dstip, ss.amt
        |""".stripMargin, "a3_outlier_dbscan")
 
-  /** All 8 demo queries, keyed by the attack step they detect. */
-  def all(victim: Long = 0L, db: Long = 1L): Seq[(String, SaqlQuery)] = Seq(
-    "c1" -> r1InitialCompromise(victim),
-    "c2" -> r2MalwareInfection(victim),
-    "c3" -> r3PrivilegeEscalation(victim),
-    "c4" -> r4Penetration(db),
-    "c5" -> r5DataExfiltration(db),
-    "c2" -> a1InvariantExcel(victim),
-    "c5" -> a2TimeSeriesSma(db),
-    "c5" -> a3OutlierDbscan(db),
+  /** All 8 demo queries, each with the attack step it detects and its
+    * evidence: does an alert's `return` values carry the step's artifact?
+    */
+  def all(victim: Long = 0L, db: Long = 1L): Seq[(String, SaqlQuery, Map[String, String] => Boolean)] = Seq(
+    ("c1", r1InitialCompromise(victim), v => v.get("f1").exists(_.endsWith(".xlsm"))),
+    ("c2", r2MalwareInfection(victim), v => v.get("p2").contains("wscript.exe")),
+    ("c3", r3PrivilegeEscalation(victim), v => v.get("p2").contains("gsecdump.exe")),
+    ("c4", r4Penetration(db), v => v.get("p2").contains("sbblv.exe")),
+    ("c5", r5DataExfiltration(db), v => v.get("p4").contains("sbblv.exe")),
+    ("c2", a1InvariantExcel(victim), v => v.get("ss_set_proc").exists(_.contains("wscript.exe"))),
+    ("c5", a2TimeSeriesSma(db), v => v.get("p").contains("sbblv.exe")),
+    ("c5", a3OutlierDbscan(db), v => v.get("i_dstip").contains(AttackerIp)),
   )
 }

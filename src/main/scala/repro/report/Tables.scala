@@ -40,22 +40,9 @@ object Tables {
       attackStartMs = attackStartMs).cache()
     stream.count() // materialise once
 
-    // Evidence predicate per query: does an alert carry the attack artifact?
-    val evidence: Map[String, Map[String, String] => Boolean] = Map(
-      "r1_initial_compromise" -> (v => v.get("f1").exists(_.endsWith(".xlsm"))),
-      "r2_malware_infection"  -> (v => v.get("p2").contains("wscript.exe")),
-      "r3_privilege_escalation" -> (v => v.get("p2").contains("gsecdump.exe")),
-      "r4_penetration"        -> (v => v.get("p2").contains("sbblv.exe")),
-      "r5_data_exfiltration"  -> (v => v.get("p4").contains("sbblv.exe")),
-      "a1_invariant_excel"    -> (v => v.get("ss_set_proc").exists(_.contains("wscript.exe"))),
-      "a2_timeseries_sma"     -> (v => v.get("p").contains("sbblv.exe")),
-      "a3_outlier_dbscan"     -> (v => v.get("i_dstip").contains(AttackTrace.AttackerIp)),
-    )
-
-    val rows = DemoQueries.all().map { case (step, q) =>
+    val rows = DemoQueries.all().map { case (step, q, evidence) =>
       val alerts = QueryEngine.run(stream, q)
-      val ev = evidence(q.name)
-      val hits = alerts.filter(a => ev(a.values))
+      val hits = alerts.filter(a => evidence(a.values))
       val latency = hits.headOption
         .map(_.ts - (attackStartMs + AttackTrace.stepStartMs(step))).getOrElse(-1L)
       T1Row(q.name, q.modelType.toString.stripSuffix("Model").toLowerCase,

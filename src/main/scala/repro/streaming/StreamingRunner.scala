@@ -29,19 +29,19 @@ object StreamingRunner {
 
   /** Sliding-window streaming aggregation computing the query's state
     * block: `window()` over event time with the query's length/slide and a
-    * zero-lateness watermark. Output columns: `__win` (window index), group
-    * keys, state fields — identical to the batch [[StateMaintainer.states]]
-    * layout, so batch and streaming states are directly comparable (and
-    * are, in tests).
+    * zero-lateness watermark. It runs the batch state aggregation with one
+    * member, so its columns are the batch [[StateMaintainer.states]]
+    * layout (with `__win` last) and batch and streaming states are
+    * directly comparable (and are, in tests).
     */
   def windowStates(stream: DataFrame, plan: StatePlan): DataFrame = {
     val w = plan.window
-    val events = StateMaintainer.matchedEvents(stream, plan)
+    val events = StateMaintainer.tagged(stream, Seq(plan))
       .withColumn("__event_time", timestamp_millis(col("ts")))
       .withWatermark("__event_time", "0 milliseconds")
     val winCol = window(col("__event_time"), s"${w.lengthMs} milliseconds",
                         s"${w.slideMs} milliseconds")
-    StateMaintainer.aggregate(events, winCol.as("__window"), plan)
+    StateMaintainer.aggregate(events, winCol.as("__window"), Seq(plan))
       .withColumn("__win",
         floor(unix_millis(col("__window.start")) / w.slideMs))
       .drop("__window")

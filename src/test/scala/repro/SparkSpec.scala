@@ -1,6 +1,10 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusDrain
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +20,25 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Run `block` and count the SQL executions (Spark actions) it issues,
+    * with a `QueryExecutionListener`. Listener events arrive
+    * asynchronously, so the bus is drained before and after the block.
+    */
+  def sqlExecutions[A](block: => A): (A, Int) = {
+    val n = new AtomicInteger
+    val listener = new QueryExecutionListener {
+      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = n.incrementAndGet()
+      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = n.incrementAndGet()
+    }
+    ListenerBusDrain(spark.sparkContext)
+    spark.listenerManager.register(listener)
+    try {
+      val a = block
+      ListenerBusDrain(spark.sparkContext)
+      (a, n.get)
+    } finally spark.listenerManager.unregister(listener)
+  }
 }
 
 object SparkSpec {

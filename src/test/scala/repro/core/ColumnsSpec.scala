@@ -120,6 +120,12 @@ class ColumnsSpec extends SparkSpec {
     rejects(netState + "alert ss.amt > 0\nreturn p, ss[1].nope", "unknown state field 'ss.nope'")
   }
 
+  test("compile rejects a state index beyond the declared history") {
+    rejects(netState + "alert ss[5].amt > 0\nreturn p, ss.amt", "'ss[5].amt' is beyond the state history of 1")
+    rejects("proc p write ip i as evt #time(10 s)\nstate[2] ss { amt := sum(evt.amount) } group by p\n" +
+      "return p, ss[2].amt", "beyond the state history of 2")
+  }
+
   test("compile rejects a return attribute that is not the group key") {
     rejects(netState + "return p.pid, ss.amt", "not a group-by key")
   }

@@ -56,6 +56,21 @@ class QueryEngineSpec extends SparkSpec {
     assert(alerts.size == 1 && alerts.head.values("ss1_avg_amount") == "0")
   }
 
+  test("time-series: a group missing from the previous window reads 0 for ss[1]") {
+    val q = Parser.parse(
+      """proc p write ip i as evt #time(10 s)
+        |state[2] ss { amt := sum(evt.amount) } group by p
+        |return p, ss[0].amt, ss[1].amt""".stripMargin, "prev")
+    val evs = Seq(
+      net(0, 1000L, "a.exe", "1.1.1.1", 100), net(0, 2000L, "b.exe", "1.1.1.1", 50), // win0: a, b
+      net(0, 11_000L, "a.exe", "1.1.1.1", 300),                                        // win1: a
+      net(0, 21_000L, "b.exe", "1.1.1.1", 70))                                         // win2: b
+    val prev = QueryEngine.run(df(spark, evs), q)
+      .map(a => (a.win, a.values("p")) -> a.values("ss1_amt")).toMap
+    assert(prev == Map((0L, "a.exe") -> "0", (0L, "b.exe") -> "0",
+                       (1L, "a.exe") -> "100", (2L, "b.exe") -> "0"))
+  }
+
   // -------------------------------------------------------------- invariant
 
   private val invQuery = Parser.parse(

@@ -120,4 +120,73 @@ class SchedulerSpec extends SparkSpec {
     assert(ind.alerts == mdq.alerts)
     assert(ind.alerts.values.forall(_.nonEmpty))
   }
+
+  test("duplicate query names are rejected before any Spark job") {
+    val twice = Seq(master, netQuery("net_all", "chrome.exe"))
+    val (_, executions) = sqlExecutions {
+      for (run <- Seq[Seq[SaqlQuery] => Any](
+             Scheduler.group, Scheduler.runIndependent(stream, _),
+             Scheduler.runMasterDependent(stream, _))) {
+        val e = intercept[IllegalArgumentException](run(twice))
+        assert(e.getMessage.contains("duplicate query names: net_all"), e.getMessage)
+      }
+    }
+    assert(executions == 0)
+  }
+
+  // ------------------------------- one state aggregation per key set
+
+  test("five compatible stateful queries issue as many Spark executions as one") {
+    val (_, one) = sqlExecutions(Scheduler.runMasterDependent(stream, Seq(master)))
+    val (_, five) = sqlExecutions(Scheduler.runMasterDependent(stream, master +: deps))
+    assert(five == one)
+  }
+
+  test("a dependent raises no alert for a group only the master matched") {
+    val anyChrome = Parser.parse(
+      """proc p["%chrome.exe"] write ip i as evt #time(10 min)
+        |state ss { amt := sum(evt.amount) } group by p
+        |alert ss.amt >= 0
+        |return p, ss.amt""".stripMargin, "chrome_any")
+    val queries = Seq(master, anyChrome)
+    val mdq = Scheduler.runMasterDependent(stream, queries)
+    assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
+    assert(mdq.alerts("net_all").exists(!_.values("p").endsWith("chrome.exe")))
+    assert(mdq.alerts("chrome_any").nonEmpty)
+    assert(mdq.alerts("chrome_any").forall(_.values("p").endsWith("chrome.exe")))
+  }
+
+  test("one group with two key sets runs as two state aggregations") {
+    val byIp = Parser.parse(
+      """proc p["%chrome.exe"] write ip i as evt #time(10 min)
+        |state ss { amt := sum(evt.amount) } group by i.dstip
+        |alert ss.amt > 0
+        |return i.dstip, ss.amt""".stripMargin, "chrome_by_ip")
+    val queries = master +: deps :+ byIp
+    assert(Scheduler.group(queries).size == 1)
+    val (_, oneKeySet) = sqlExecutions(Scheduler.runMasterDependent(stream, master +: deps))
+    val (mdq, twoKeySets) = sqlExecutions(Scheduler.runMasterDependent(stream, queries))
+    assert(twoKeySets == oneKeySet + 1)
+    assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
+    assert(mdq.alerts("chrome_by_ip").nonEmpty)
+  }
+
+  test("fused avg, sum, count, max, min and set over sliding windows equal independent runs") {
+    def allAggs(name: String, subj: String): SaqlQuery = Parser.parse(
+      s"""proc p$subj write ip i as evt #time(10 min, 5 min)
+         |state ss { a := avg(evt.amount)
+         |s := sum(evt.amount)
+         |n := count(evt.amount)
+         |hi := max(evt.amount)
+         |lo := min(evt.amount)
+         |ips := set(i.dstip) } group by p
+         |alert ss.n > 0
+         |return p, ss.a, ss.s, ss.n, ss.hi, ss.lo, ss.ips""".stripMargin, name)
+    val queries = Seq(allAggs("aggs_all", ""), allAggs("aggs_chrome", "[\"%chrome.exe\"]"),
+                      allAggs("aggs_outlook", "[\"%outlook.exe\"]"))
+    assert(Scheduler.group(queries).size == 1)
+    val mdq = Scheduler.runMasterDependent(stream, queries)
+    assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
+    assert(queries.forall(q => mdq.alerts(q.name).nonEmpty))
+  }
 }

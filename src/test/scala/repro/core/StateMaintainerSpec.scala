@@ -41,16 +41,17 @@ class StateMaintainerSpec extends SparkSpec {
   }
 
   test("states layout: __win, group keys, state fields") {
-    val s = StateMaintainer.states(stream, statePlan(q2))
-    assert(s.columns.toSeq == Seq("__win", "p", "avg_amount"))
+    val s = StateMaintainer.states(stream, Seq(statePlan(q2)))
+    assert(s.columns.toSeq == Seq("__win", "p", "__n0", "m0_avg_amount"))
   }
 
   test("oracle: avg state per window/group equals DuckDB") {
-    val s = StateMaintainer.states(stream, statePlan(q2))
+    val s = StateMaintainer.states(stream, Seq(statePlan(q2)))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       subj_exe AS p,
-        |       AVG(CAST(amount AS DOUBLE)) AS avg_amount
+        |       COUNT(*) AS __n0,
+        |       AVG(CAST(amount AS DOUBLE)) AS m0_avg_amount
         |FROM events
         |WHERE event_type = 'network' AND op = 'write'
         |GROUP BY 1, 2""".stripMargin,
@@ -63,11 +64,12 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { amt := sum(evt.amount) } group by i.dstip
         |alert ss.amt > 0
         |return i.dstip, ss.amt""".stripMargin, "q4")
-    val s = StateMaintainer.states(stream, statePlan(q4))
+    val s = StateMaintainer.states(stream, Seq(statePlan(q4)))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       dst_ip AS i_dstip,
-        |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS amt
+        |       COUNT(*) AS __n0,
+        |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS m0_amt
         |FROM events
         |WHERE event_type = 'network' AND op IN ('read', 'write')
         |  AND subj_exe LIKE '%sqlservr.exe'
@@ -82,16 +84,45 @@ class StateMaintainerSpec extends SparkSpec {
         |mx := max(evt.amount) } group by p
         |alert ss.n > 0
         |return p, ss.n, ss.mx""".stripMargin, "qc")
-    val s = StateMaintainer.states(stream, statePlan(q))
+    val s = StateMaintainer.states(stream, Seq(statePlan(q)))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 1200000) AS BIGINT) AS __win,
         |       subj_exe AS p,
-        |       CAST(COUNT(amount) AS DOUBLE) AS n,
-        |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS mx
+        |       COUNT(*) AS __n0,
+        |       CAST(COUNT(amount) AS DOUBLE) AS m0_n,
+        |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS m0_mx
         |FROM events
         |WHERE event_type = 'network' AND op = 'write'
         |GROUP BY 1, 2""".stripMargin,
       "events" -> stream)
+  }
+
+  test("oracle: each member of a fused aggregation equals its own DuckDB GROUP BY") {
+    val subjects = Seq("" -> "", "[\"%chrome.exe\"]" -> " AND subj_exe LIKE '%chrome.exe'",
+                       "[\"%outlook.exe\"]" -> " AND subj_exe LIKE '%outlook.exe'")
+    val members = subjects.map { case (subj, _) => statePlan(Parser.parse(
+      s"""proc p$subj write ip i as evt #time(10 min)
+         |state ss { amt := sum(evt.amount)
+         |hi := max(evt.amount) } group by p
+         |alert ss.amt > 0
+         |return p, ss.amt""".stripMargin)) }
+    val s = StateMaintainer.states(stream, members).cache()
+    assert(s.filter(col("__n1") === 0).count() > 0) // groups member 1 never matched
+    for (((_, where), i) <- subjects.zipWithIndex)
+      Oracle.assertEquivalent(
+        s.filter(col(s"__n$i") > 0).select("__win", "p", s"__n$i", s"m${i}_amt", s"m${i}_hi"),
+        s"""SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
+           |       subj_exe AS p,
+           |       COUNT(*) AS __n$i,
+           |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS m${i}_amt,
+           |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS m${i}_hi
+           |FROM events
+           |WHERE event_type = 'network' AND op = 'write'$where
+           |GROUP BY 1, 2""".stripMargin,
+        "events" -> stream)
+    val Seq(_, chrome, _) = StateMaintainer.collectStates(s, members)
+    assert(chrome.nonEmpty && chrome.flatMap(_._2.keys).forall(_.head.endsWith("chrome.exe")))
+    s.unpersist()
   }
 
   test("set aggregate collects distinct object names") {
@@ -100,10 +131,10 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { set_proc := set(p2.exe_name) } group by p1
         |alert |ss.set_proc| > 0
         |return p1, ss.set_proc""".stripMargin, "q3")
-    val rows = StateMaintainer.states(stream, statePlan(q3)).collect()
+    val rows = StateMaintainer.states(stream, Seq(statePlan(q3))).collect()
     assert(rows.nonEmpty)
     rows.foreach { r =>
-      val s = r.getAs[scala.collection.Seq[String]]("set_proc").toSet
+      val s = r.getAs[scala.collection.Seq[String]]("m0_set_proc").toSet
       assert(s.subsetOf(Set("httpd-worker.exe", "php-cgi.exe", "rotatelogs.exe")))
       assert(s.size == s.toSeq.size) // distinct
     }
@@ -111,17 +142,17 @@ class StateMaintainerSpec extends SparkSpec {
 
   test("collectStates orders windows ascending and typed values") {
     val plan = statePlan(q2)
-    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
+    val Seq(byWin) = StateMaintainer.collectStates(StateMaintainer.states(stream, Seq(plan)), Seq(plan))
     val wins = byWin.map(_._1)
     assert(wins == wins.sorted)
-    assert(byWin.head._2.forall(_.vals("avg_amount").isInstanceOf[Eval.NumV]))
-    assert(byWin.head._2.forall(_.key.nonEmpty))
+    assert(byWin.head._2.values.forall(_("avg_amount").isInstanceOf[Eval.NumV]))
+    assert(byWin.head._2.keys.forall(_.nonEmpty))
   }
 
   test("group keys match the grouping attribute") {
     val plan = statePlan(q2)
-    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
-    val keys = byWin.flatMap(_._2).map(_.key.head).toSet
+    val Seq(byWin) = StateMaintainer.collectStates(StateMaintainer.states(stream, Seq(plan)), Seq(plan))
+    val keys = byWin.flatMap(_._2.keys).map(_.head).toSet
     assert(keys.contains("chrome.exe")) // benign network writers group by exe
     assert(!keys.exists(_ == "null"))
   }
