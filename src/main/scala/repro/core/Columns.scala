@@ -203,7 +203,8 @@ object Columns {
     * and starts no Spark job, so every name or argument error surfaces
     * here, as an `IllegalArgumentException`, before execution begins.
     */
-  def compile(q: SaqlQuery): QueryPlan =
+  def compile(q: SaqlQuery): QueryPlan = {
+    q.varOccurrences.keys.foreach(q.kindOf) // one entity kind per variable
     if (q.modelType == RuleModel) {
       val returns = q.ret.items.map {
         case AttrRef(ref) =>
@@ -256,4 +257,5 @@ object Columns {
       StatePlan(q, q.patterns.map(patternPredicate(q, _)).reduce(_ || _),
         window, keys, aggs, keyIndex, cluster)
     }
+  }
 }

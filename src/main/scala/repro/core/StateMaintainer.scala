@@ -43,11 +43,11 @@ object StateMaintainer {
   }
 
   /** Events any of the plans could match: the OR of their candidate
-    * predicates. One plan feeds its own state; a scheduler group's plans
-    * share one filtered copy of the stream.
+    * predicates (none without plans). One plan feeds its own state; the
+    * scheduler's plans share one filtered copy of the stream.
     */
   def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
-    events.filter(plans.map(_.candidate).reduce(_ || _))
+    events.filter(plans.map(_.candidate).reduceOption(_ || _).getOrElse(lit(false)))
 
   /** Member `i`'s tag column, its event count per group, and the column of
     * its field `f`.

@@ -8,8 +8,8 @@ import org.apache.spark.sql.functions._
   * start/end time (Fig. 4's web UI, here as an API).
   *
   * Two replay forms:
-  *   - a bounded, time-ordered batch view (what the anomaly query engine
-  *     consumes for a replayed interval);
+  *   - a bounded batch view of the selected hosts and interval (what the
+  *     anomaly query engine consumes; events are not sorted);
   *   - a JSON feed directory that a Structured Streaming file source tails.
   */
 object StreamReplayer {
@@ -21,10 +21,6 @@ object StreamReplayer {
     if (agents.isEmpty) inRange
     else inRange.filter(col("agentid").isin(agents: _*))
   }
-
-  /** The replayed stream in event order (ties broken by event id). */
-  def ordered(events: DataFrame): DataFrame =
-    events.orderBy(col("ts"), col("event_id"))
 
   /** Write the replayed stream as JSON part-files — the on-disk feed a Structured Streaming file source can tail. Returns
     * the directory written.

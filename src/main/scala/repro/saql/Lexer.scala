@@ -24,9 +24,9 @@ final case class SaqlParseException(msg: String, src: String, pos: Int)
 /** Hand-written lexer for SAQL (the paper builds the language with ANTLR 4;
   * ANTLR is unavailable offline, so lexing is done by hand).
   *
-  * Handles `//` line comments, quoted strings, numbers (int/float),
-  * identifiers (including dotted later at parse level), and the multi-char
-  * symbols `->`, `:=`, `==`, `!=`, `>=`, `<=`, `&&`, `||`.
+  * Handles `//` line comments, quoted strings, numbers (int/float, at most
+  * one `.`), identifiers (including dotted later at parse level), and the
+  * multi-char symbols `->`, `:=`, `==`, `!=`, `>=`, `<=`, `&&`, `||`.
   */
 object Lexer {
   private val multi = Seq("->", ":=", "==", "!=", ">=", "<=", "&&", "||")
@@ -51,7 +51,9 @@ object Lexer {
       } else if (c.isDigit) {
         val start = i
         while (i < n && (src(i).isDigit || src(i) == '.')) i += 1
-        out += Token.Num(src.substring(start, i), start)
+        val text = src.substring(start, i)
+        if (text.count(_ == '.') > 1) throw SaqlParseException(s"malformed number '$text'", src, start)
+        out += Token.Num(text, start)
       } else if (c.isLetter || c == '_') {
         val start = i
         while (i < n && (src(i).isLetterOrDigit || src(i) == '_')) i += 1

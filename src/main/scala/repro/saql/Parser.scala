@@ -19,15 +19,17 @@ object Parser {
   def parse(src: String, name: String = "query"): SaqlQuery =
     new Parser(src, Lexer.tokenize(src), name).parseQuery()
 
-  /** Parse "DBSCAN(100000, 5)" into (method, args). */
-  private[saql] def parseMethod(s: String): (String, Seq[Double]) = {
+  /** Parse "DBSCAN(100000, 5)" into (method, args); `None` unless the
+    * parenthesised args are numbers.
+    */
+  private[saql] def parseMethod(s: String): Option[(String, Seq[Double])] = {
     val open = s.indexOf('(')
-    if (open < 0) (s.trim, Nil)
+    if (open < 0) Some((s.trim, Nil))
+    else if (!s.trim.endsWith(")")) None
     else {
-      val nm   = s.substring(0, open).trim
       val body = s.substring(open + 1, s.lastIndexOf(')'))
-      val args = body.split(',').toSeq.map(_.trim).filter(_.nonEmpty).map(_.toDouble)
-      (nm, args)
+      val args = body.split(',').toSeq.map(_.trim).filter(_.nonEmpty).map(_.toDoubleOption)
+      Option.when(args.forall(_.isDefined))((s.substring(0, open).trim, args.flatten))
     }
   }
 }
@@ -55,6 +57,10 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
   }
   private def expectKeyword(k: String): Unit =
     if (isIdent(peek, k)) i += 1 else fail(s"expected '$k' but found '${peek.text}'")
+  private def expectInt(what: String): Int = peek match {
+    case Num(s, _) if s.toIntOption.isDefined => i += 1; s.toInt
+    case t => fail(s"expected $what (an integer), found '${t.text}'")
+  }
 
   private val kinds = Map("proc" -> ProcKind, "file" -> FileKind, "ip" -> IpKind)
   private val cmpOps = Set("=", "==", "!=", "<", ">", "<=", ">=")
@@ -194,10 +200,7 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     expectKeyword("state")
     val hist = if (isSym(peek, "[")) {
       i += 1
-      val n = next() match {
-        case Num(s, _) => s.toInt
-        case t         => i -= 1; fail(s"expected window-history count, found '${t.text}'")
-      }
+      val n = expectInt("window-history count")
       expectSym("]"); n
     } else 1
     val name = expectIdent()
@@ -232,10 +235,7 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
   private def parseInvariant(): InvariantBlock = {
     expectKeyword("invariant")
     expectSym("[")
-    val train = next() match {
-      case Num(s, _) => s.toInt
-      case t         => i -= 1; fail(s"expected training-window count, found '${t.text}'")
-    }
+    val train = expectInt("training-window count")
     expectSym("]")
     val offline = if (isSym(peek, "[")) {
       i += 1; val m = expectIdent(); expectSym("]")
@@ -276,12 +276,13 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     }
     expectSym(",")
     expectKeyword("method"); expectSym("=")
-    val methodStr = next() match {
-      case Str(s, _) => s
-      case t         => i -= 1; fail(s"expected method string, found '${t.text}'")
+    val (m, args) = peek match {
+      case Str(s, _) => Parser.parseMethod(s).getOrElse(
+        fail(s"malformed method '$s': expected NAME(number, ...)"))
+      case t => fail(s"expected method string, found '${t.text}'")
     }
+    i += 1
     expectSym(")")
-    val (m, args) = Parser.parseMethod(methodStr)
     ClusterBlock(pts.result(), dist, m, args)
   }
 
@@ -364,10 +365,7 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       i += 1
       if (isSym(peek, "[")) { // ss[0].field
         i += 1
-        val idx = next() match {
-          case Num(s, _) => s.toInt
-          case t         => i -= 1; fail(s"expected state index, found '${t.text}'")
-        }
+        val idx = expectInt("state index")
         expectSym("]"); expectSym(".")
         StateRef(name, idx, expectIdent())
       } else if (isSym(peek, ".")) {

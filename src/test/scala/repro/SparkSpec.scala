@@ -1,6 +1,7 @@
 package repro
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.QueryExecution
@@ -21,22 +22,23 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** Run `block` and count the SQL executions (Spark actions) it issues,
-    * with a `QueryExecutionListener`. Listener events arrive
-    * asynchronously, so the bus is drained before and after the block.
+  /** Run `block` and list the action names (`count`, `collect`, …) of the
+    * SQL executions it issues, with a `QueryExecutionListener`. Listener
+    * events arrive asynchronously, so the bus is drained before and after
+    * the block.
     */
-  def sqlExecutions[A](block: => A): (A, Int) = {
-    val n = new AtomicInteger
+  def sqlExecutions[A](block: => A): (A, Seq[String]) = {
+    val actions = new ConcurrentLinkedQueue[String]
     val listener = new QueryExecutionListener {
-      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = n.incrementAndGet()
-      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = n.incrementAndGet()
+      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = actions.add(f)
+      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = actions.add(f)
     }
     ListenerBusDrain(spark.sparkContext)
     spark.listenerManager.register(listener)
     try {
       val a = block
       ListenerBusDrain(spark.sparkContext)
-      (a, n.get)
+      (a, actions.asScala.toSeq)
     } finally spark.listenerManager.unregister(listener)
   }
 }

@@ -135,6 +135,11 @@ class ColumnsSpec extends SparkSpec {
     rejects(netState + "return zz, ss.amt", "unknown variable 'zz'")
   }
 
+  test("compile rejects a variable declared with conflicting entity kinds") {
+    rejects("proc a start proc x as e1\nproc b write file x as e2\nwith e1 -> e2\nreturn a, b",
+      "variable x declared with conflicting kinds")
+  }
+
   test("compile rejects an unknown global attribute") {
     rejects("foo = 1\nproc p1 write file f1 as evt1\nreturn p1", "unknown global attribute 'foo'")
   }

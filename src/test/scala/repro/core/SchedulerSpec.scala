@@ -5,12 +5,15 @@ import repro.events.{AttackTrace, MonitoringData}
 import repro.saql.Parser
 import repro.saql.Ast.SaqlQuery
 
-/** Master-dependent-query scheme: grouping, subsumption, result equality
-  * and data-copy accounting.
+/** Master-dependent-query scheme: one stream copy per run, result
+  * equality and data-copy accounting.
   */
 class SchedulerSpec extends SparkSpec {
 
   private lazy val stream = MonitoringData.events(spark, sf = 0.002, seed = 2).cache()
+  private lazy val attack = AttackTrace.withBackground(spark, sf = 0.002, seed = 0,
+    attackStartMs = 1_800_000L).cache()
+  private lazy val demo = repro.queries.DemoQueries.all().map(_._2)
 
   private def netQuery(name: String, exe: String): SaqlQuery = Parser.parse(
     s"""proc p["%$exe"] write ip i as evt #time(10 min)
@@ -26,53 +29,6 @@ class SchedulerSpec extends SparkSpec {
 
   private val deps = Seq("chrome.exe", "outlook.exe", "sqlservr.exe", "apache.exe")
     .map(e => netQuery(s"net_$e", e))
-
-  test("signature groups same-shape queries") {
-    val sig = Scheduler.signature(master)
-    assert(deps.forall(d => Scheduler.signature(d) == sig))
-  }
-
-  test("different window or ops break compatibility") {
-    val other = Parser.parse(
-      """proc p read ip i as evt #time(10 min)
-        |state ss { amt := sum(evt.amount) } group by p
-        |alert ss.amt > 0
-        |return p, ss.amt""".stripMargin, "reads")
-    assert(Scheduler.signature(other) != Scheduler.signature(master))
-    val otherWin = Parser.parse(
-      """proc p write ip i as evt #time(5 min)
-        |state ss { amt := sum(evt.amount) } group by p
-        |alert ss.amt > 0
-        |return p, ss.amt""".stripMargin, "w5")
-    assert(Scheduler.signature(otherWin) != Scheduler.signature(master))
-  }
-
-  test("subsumption: unconstrained master covers constrained dependents") {
-    deps.foreach(d => assert(Scheduler.subsumes(master, d)))
-    deps.foreach(d => assert(!Scheduler.subsumes(d, master)))
-    assert(!Scheduler.subsumes(deps(0), deps(1)))
-  }
-
-  test("grouping elects the subsuming member as master") {
-    val gs = Scheduler.group(master +: deps)
-    assert(gs.size == 1)
-    assert(gs.head.master.map(_.name).contains("net_all"))
-    assert(gs.head.members.size == 5)
-  }
-
-  test("grouping without a subsuming member synthesizes a union master") {
-    val gs = Scheduler.group(deps)
-    assert(gs.size == 1)
-    assert(gs.head.master.isEmpty) // union-of-constraints filter
-  }
-
-  test("incompatible queries go to separate groups") {
-    val rule = Parser.parse(
-      """proc p1["%cmd.exe"] start proc p2 as evt1
-        |return distinct p1, p2""".stripMargin, "rule1")
-    val gs = Scheduler.group(Seq(master, rule) ++ deps)
-    assert(gs.size == 2)
-  }
 
   test("master-dependent alerts equal independent alerts") {
     val queries = master +: deps
@@ -110,28 +66,42 @@ class SchedulerSpec extends SparkSpec {
   }
 
   test("rule queries detect the same attack under both schemes") {
-    val atk = AttackTrace.withBackground(spark, sf = 0.002, seed = 0,
-      attackStartMs = 1_800_000L).cache()
     val qs = Seq(
       repro.queries.DemoQueries.r1InitialCompromise(0L),
       repro.queries.DemoQueries.r3PrivilegeEscalation(0L))
-    val ind = Scheduler.runIndependent(atk, qs)
-    val mdq = Scheduler.runMasterDependent(atk, qs)
+    val ind = Scheduler.runIndependent(attack, qs)
+    val mdq = Scheduler.runMasterDependent(attack, qs)
     assert(ind.alerts == mdq.alerts)
     assert(ind.alerts.values.forall(_.nonEmpty))
+  }
+
+  test("all 8 demo queries raise the same alerts from one copy as independently") {
+    val mdq = Scheduler.runMasterDependent(attack, demo)
+    assert(mdq.alerts == Scheduler.runIndependent(attack, demo).alerts)
+    assert(demo.filter(_.modelType == repro.saql.Ast.RuleModel).forall(q => mdq.alerts(q.name).nonEmpty))
+  }
+
+  test("the 8 demo queries count the input and one copy, nothing more") {
+    val (_, actions) = sqlExecutions(Scheduler.runMasterDependent(attack, demo))
+    assert(actions.count(_ == "count") == 2, actions)
+  }
+
+  test("an empty query list raises no alerts") {
+    for (run <- Seq[Seq[SaqlQuery] => Scheduler.ScheduledRun](
+           Scheduler.runIndependent(stream, _), Scheduler.runMasterDependent(stream, _)))
+      assert(run(Nil).alerts.isEmpty)
   }
 
   test("duplicate query names are rejected before any Spark job") {
     val twice = Seq(master, netQuery("net_all", "chrome.exe"))
     val (_, executions) = sqlExecutions {
       for (run <- Seq[Seq[SaqlQuery] => Any](
-             Scheduler.group, Scheduler.runIndependent(stream, _),
-             Scheduler.runMasterDependent(stream, _))) {
+             Scheduler.runIndependent(stream, _), Scheduler.runMasterDependent(stream, _))) {
         val e = intercept[IllegalArgumentException](run(twice))
         assert(e.getMessage.contains("duplicate query names: net_all"), e.getMessage)
       }
     }
-    assert(executions == 0)
+    assert(executions.isEmpty)
   }
 
   // ------------------------------- one state aggregation per key set
@@ -139,7 +109,7 @@ class SchedulerSpec extends SparkSpec {
   test("five compatible stateful queries issue as many Spark executions as one") {
     val (_, one) = sqlExecutions(Scheduler.runMasterDependent(stream, Seq(master)))
     val (_, five) = sqlExecutions(Scheduler.runMasterDependent(stream, master +: deps))
-    assert(five == one)
+    assert(five.size == one.size)
   }
 
   test("a dependent raises no alert for a group only the master matched") {
@@ -163,10 +133,9 @@ class SchedulerSpec extends SparkSpec {
         |alert ss.amt > 0
         |return i.dstip, ss.amt""".stripMargin, "chrome_by_ip")
     val queries = master +: deps :+ byIp
-    assert(Scheduler.group(queries).size == 1)
     val (_, oneKeySet) = sqlExecutions(Scheduler.runMasterDependent(stream, master +: deps))
     val (mdq, twoKeySets) = sqlExecutions(Scheduler.runMasterDependent(stream, queries))
-    assert(twoKeySets == oneKeySet + 1)
+    assert(twoKeySets.size == oneKeySet.size + 1)
     assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
     assert(mdq.alerts("chrome_by_ip").nonEmpty)
   }
@@ -184,7 +153,6 @@ class SchedulerSpec extends SparkSpec {
          |return p, ss.a, ss.s, ss.n, ss.hi, ss.lo, ss.ips""".stripMargin, name)
     val queries = Seq(allAggs("aggs_all", ""), allAggs("aggs_chrome", "[\"%chrome.exe\"]"),
                       allAggs("aggs_outlook", "[\"%outlook.exe\"]"))
-    assert(Scheduler.group(queries).size == 1)
     val mdq = Scheduler.runMasterDependent(stream, queries)
     assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
     assert(queries.forall(q => mdq.alerts(q.name).nonEmpty))

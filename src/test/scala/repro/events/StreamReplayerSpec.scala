@@ -22,12 +22,6 @@ class StreamReplayerSpec extends SparkSpec {
     assert(r.filter(col("ts") < 1000 || col("ts") >= 2000).count() == 0)
   }
 
-  test("ordered sorts by ts then event_id") {
-    val rows = StreamReplayer.ordered(df.limit(500)).collect()
-    val keys = rows.map(r => (r.getAs[Long]("ts"), r.getAs[Long]("event_id"))).toSeq
-    assert(keys == keys.sorted)
-  }
-
   test("writeFeed produces a directory a batch reader round-trips") {
     val dir = java.nio.file.Files.createTempDirectory("feed").toString + "/out"
     StreamReplayer.writeFeed(df.limit(200), dir)

@@ -1,7 +1,8 @@
 package repro.report
 
 import repro.SparkSpec
-import repro.core.Scheduler
+import repro.core.Columns
+import repro.events.MonitoringData
 
 class TablesSpec extends SparkSpec {
 
@@ -16,15 +17,11 @@ class TablesSpec extends SparkSpec {
   test("concurrentQueries builds one subsuming master plus n-1 dependents") {
     val qs = Tables.concurrentQueries(8)
     assert(qs.size == 8)
-    val master = qs.head
-    qs.tail.foreach(d => assert(Scheduler.subsumes(master, d)))
     assert(qs.map(_.name).distinct.size == 8)
-  }
-
-  test("concurrentQueries all land in a single scheduler group") {
-    val gs = Scheduler.group(Tables.concurrentQueries(6))
-    assert(gs.size == 1)
-    assert(gs.head.master.map(_.name).contains("net_master"))
+    // Every event a dependent could match, the master matches too.
+    val Seq(master, deps @ _*) = qs.map(Columns.compile)
+    val events = MonitoringData.events(spark, sf = 0.002, seed = 1)
+    deps.foreach(d => assert(events.filter(d.candidate && !master.candidate).isEmpty))
   }
 
   test("t1 at tiny scale detects every step (smoke)") {

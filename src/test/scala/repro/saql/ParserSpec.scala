@@ -295,11 +295,30 @@ class ParserSpec extends AnyFunSuite {
   }
 
   test("method string without args") {
-    assert(Parser.parseMethod("KMEANS") == ("KMEANS", Nil))
+    assert(Parser.parseMethod("KMEANS").contains(("KMEANS", Nil)))
   }
 
   test("method string with args and spaces") {
-    assert(Parser.parseMethod(" DBSCAN ( 1.5 , 3 ) ") == ("DBSCAN", Seq(1.5, 3.0)))
+    assert(Parser.parseMethod(" DBSCAN ( 1.5 , 3 ) ").contains(("DBSCAN", Seq(1.5, 3.0))))
+  }
+
+  test("error: malformed numbers are positioned parse errors") {
+    val stateful = "proc p write ip i as evt #time(10 min)\n"
+    val cluster = stateful + "state ss { amt := sum(evt.amount) } group by p\n" +
+      "cluster(points=all(ss.amt), distance=\"ed\", method=\""
+    for ((src, message, line) <- Seq(
+           ("proc p write ip i as evt #time(1.2.3 min)\nreturn p", "malformed number '1.2.3'", 1),
+           (stateful + "state[2.5] ss { amt := sum(evt.amount) } group by p\nreturn p",
+             "expected window-history count (an integer), found '2.5'", 2),
+           (stateful + "state[2] ss { amt := sum(evt.amount) } group by p\nalert ss[0.5].amt > 0\nreturn p",
+             "expected state index (an integer), found '0.5'", 3),
+           (stateful + "state ss { s := set(p) } group by p\ninvariant[9999999999] { a := empty_set\na = a }\nreturn p",
+             "expected training-window count (an integer), found '9999999999'", 3),
+           (cluster + "DBSCAN(abc, 5)\")\nreturn p", "malformed method 'DBSCAN(abc, 5)'", 3),
+           (cluster + "DBSCAN(1, 5\")\nreturn p", "malformed method 'DBSCAN(1, 5'", 3))) {
+      val e = intercept[SaqlParseException](Parser.parse(src))
+      assert(e.getMessage.contains(message) && e.getMessage.contains(s"line $line,"), e.getMessage)
+    }
   }
 
   private def collectStateRefs(e: Expr): Seq[StateRef] = e match {
