@@ -25,6 +25,10 @@ sealed trait QueryPlan {
   def query: SaqlQuery
   /** OR of the pattern predicates: every event some pattern could match. */
   def candidate: Column
+  /** The event columns the plan reads: pattern predicates, join
+    * conditions, the window's `ts`, group keys, aggregates and returns.
+    */
+  def reads: Set[String]
   def name: String = query.name
 }
 
@@ -32,7 +36,7 @@ sealed trait QueryPlan {
   * (label, alias-prefixed match column) pairs, e.g. `p1 -> evt1__subj_exe`.
   */
 final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
-                          returns: Seq[(String, String)]) extends QueryPlan {
+                          returns: Seq[(String, String)], reads: Set[String]) extends QueryPlan {
   val candidate: Column = patterns.map(_.predicate).reduce(_ || _)
 
   /** The return items plus `__alert_ts`, selected from the match output. */
@@ -48,7 +52,7 @@ final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
 final case class StatePlan(query: SaqlQuery, candidate: Column,
                            window: WindowSpec, keys: Seq[(String, String)],
                            aggs: Seq[StateAgg], keyIndex: Map[FieldRef, Int],
-                           cluster: Option[ClusterPlan]) extends QueryPlan
+                           cluster: Option[ClusterPlan], reads: Set[String]) extends QueryPlan
 
 /** The SAQL query compiler: maps SAQL attribute names onto
   * [[repro.events.SystemEvent]] columns and turns a parsed query into the
@@ -133,29 +137,30 @@ object Columns {
     }
   }
 
-  /** Conjunction of a pattern's constraints (type, ops, subject, object)
-    * plus the query's global constraints — the Catalyst predicate that
-    * selects this pattern's candidate events.
+  /** A pattern's attribute constraints as (column, op, value): its
+    * subject's, its object's and the query's global constraints.
     */
-  private def patternPredicate(q: SaqlQuery, p: EventPattern): Column = {
-    val base = col("event_type") === eventTypeOf(p.obj.kind) &&
-      col("op").isin(p.ops: _*)
+  private def constraints(q: SaqlQuery, p: EventPattern): Seq[(String, String, String)] = {
     // Merge constraints from every occurrence of the same variable: re-used
     // variables (`f1` in two patterns) constrain all their occurrences.
-    def predsFor(decl: EntityDecl): Seq[AttrPredicate] =
+    def predsFor(decl: EntityDecl, role: String): Seq[(String, String, String)] =
       q.varOccurrences.get(decl.varName)
         .map(_.flatMap(_._3.preds).distinct).getOrElse(decl.preds)
-    val subjC = predsFor(p.subj).map(ap =>
-      compare(col(entityColumn(p.subj.kind, "subj", ap.attr)), ap.op, ap.value))
-    val objC = predsFor(p.obj).map(ap =>
-      compare(col(entityColumn(p.obj.kind, "obj", ap.attr)), ap.op, ap.value))
+        .map(ap => (entityColumn(decl.kind, role, ap.attr), ap.op, ap.value))
     val globalC = q.globals.map { g =>
       val c = eventAttrs.get(g.attr).orElse(SystemEvent.columns.find(_ == g.attr))
         .getOrElse(fail(s"unknown global attribute '${g.attr}'"))
-      compare(col(c), g.op, g.value)
+      (c, g.op, g.value)
     }
-    (Seq(base) ++ subjC ++ objC ++ globalC).reduce(_ && _)
+    predsFor(p.subj, "subj") ++ predsFor(p.obj, "obj") ++ globalC
   }
+
+  /** Conjunction of a pattern's type, ops and [[constraints]] — the
+    * Catalyst predicate that selects this pattern's candidate events.
+    */
+  private def patternPredicate(q: SaqlQuery, p: EventPattern): Column =
+    ((col("event_type") === eventTypeOf(p.obj.kind) && col("op").isin(p.ops: _*)) +:
+      constraints(q, p).map { case (c, op, v) => compare(col(c), op, v) }).reduce(_ && _)
 
   /** The query's patterns in chain order (the `with` chain when it names
     * every pattern, else declaration order), each with the condition that
@@ -205,15 +210,23 @@ object Columns {
     */
   def compile(q: SaqlQuery): QueryPlan = {
     q.varOccurrences.keys.foreach(q.kindOf) // one entity kind per variable
+    // Every plan reads `ts` (match time or window) and its patterns' columns.
+    val patternReads = Set("event_type", "op", "ts") ++
+      q.patterns.flatMap(constraints(q, _).map(_._1))
     if (q.modelType == RuleModel) {
       val returns = q.ret.items.map {
-        case AttrRef(ref) =>
-          val (alias, c) = resolve(q, ref)
-          ref.colName -> s"${alias}__$c"
+        case AttrRef(ref) => ref.colName -> resolve(q, ref)
         case other =>
           fail(s"rule-based return items must be entity/event attributes, got $other")
       }
-      RulePlan(q, chain(q), returns)
+      // A variable in several patterns joins them on its identity columns.
+      val joinReads = for {
+        occs <- q.varOccurrences.values if occs.map(_._1).distinct.size > 1
+        (_, role, decl) <- occs
+        idAttr <- identityAttrs(decl.kind)
+      } yield entityColumn(decl.kind, role, idAttr)
+      RulePlan(q, chain(q), returns.map { case (label, (alias, c)) => label -> s"${alias}__$c" },
+        patternReads ++ joinReads ++ returns.map(_._2._2))
     } else {
       val sb = q.state.getOrElse(
         fail(s"query '${q.name}': stateful model needs a state block"))
@@ -255,7 +268,8 @@ object Columns {
         }, cb.args(0), cb.args(1).toInt)
       }
       StatePlan(q, q.patterns.map(patternPredicate(q, _)).reduce(_ || _),
-        window, keys, aggs, keyIndex, cluster)
+        window, keys, aggs, keyIndex, cluster,
+        patternReads ++ keys.map(_._2) ++ aggs.map(_.column))
     }
   }
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.events.SystemEvent
 
 /** The multi-event matcher: matches the stream against the event patterns
   * of a compiled rule query, honouring temporal relationships
@@ -24,7 +23,7 @@ object EventMatcher {
     */
   def matches(events: DataFrame, plan: RulePlan): DataFrame = {
     def side(p: PatternPlan): DataFrame = events.filter(p.predicate)
-      .select(SystemEvent.columns.map(c => col(c).as(s"${p.alias}__$c")): _*)
+      .select(events.columns.toSeq.map(c => col(c).as(s"${p.alias}__$c")): _*)
     val joined = plan.patterns.tail.foldLeft(side(plan.patterns.head)) { (acc, p) =>
       p.join.fold(acc.crossJoin(side(p)))(acc.join(side(p), _))
     }

@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import java.util.concurrent.{ExecutionException, Executors}
+import scala.util.{Failure, Try}
+import org.apache.spark.sql.{DataFrame, Observation, SparkSession, classic}
+import org.apache.spark.sql.execution.SQLExecution
+import org.apache.spark.sql.functions.{col, count, lit}
 import repro.saql.Ast._
 
 /** The concurrent query scheduler with the paper's master-dependent-query
@@ -57,27 +61,50 @@ object Scheduler {
   /** SAQL arm: one stream copy for all queries; each reads that copy.
     * Stateful queries that share a window and group-key columns run as one
     * state aggregation over it, each re-applying its own predicates as
-    * conditional aggregates.
+    * conditional aggregates. The copy keeps only the columns some plan
+    * reads, and the job that fills it also counts the stream. Once it is
+    * filled, the rule queries and the state aggregations run concurrently.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
     val plans = compile(queries)
-    val n  = events.count()
-    val copy = StateMaintainer.matchedEvents(events, plans: _*).cache()
-    val m = copy.count()
-    val (states, rules) = plans.partitionMap {
-      case s: StatePlan => Left(s)
-      case r: RulePlan  => Right(r)
-    }
-    val alerts = Map.newBuilder[String, Seq[AlertRecord]]
-    rules.foreach(r => alerts += r.name -> QueryEngine.run(copy, r))
-    for (split <- states.groupBy(s => (s.window, s.keys.map(_._2))).values)
-      alerts ++= split.map(_.name).zip(QueryEngine.runStates(copy, split))
-    copy.unpersist()
-    // One full scan fills the copy; with several queries, each reads it.
-    val copied = n + (if (plans.size > 1) m * plans.size else 0L)
-    val wall = (System.nanoTime() - t0) / 1_000_000
-    ScheduledRun(alerts.result(),
-      ExecStats(queries.size, 1, n, copied, wall))
+    val reads = plans.flatMap(_.reads).toSet
+    val input = Observation()
+    val copy = StateMaintainer.matchedEvents(events.observe(input, count(lit(1)).as("n")), plans: _*)
+      .select(events.columns.toSeq.filter(reads).map(col): _*).cache()
+    try {
+      val m = copy.count()
+      // Without plans the filter is `false`: Spark reads no row, and observes none.
+      val n = input.get.getOrElse("n", 0L).asInstanceOf[Long]
+      val (states, rules) = plans.partitionMap {
+        case s: StatePlan => Left(s)
+        case r: RulePlan  => Right(r)
+      }
+      val consumers: Seq[() => Seq[(String, Seq[AlertRecord])]] =
+        rules.map(r => () => Seq(r.name -> QueryEngine.run(copy, r))) ++
+          states.groupBy(s => (s.window, s.keys.map(_._2))).values.toSeq
+            .map(split => () => split.map(_.name).zip(QueryEngine.runStates(copy, split)))
+      val alerts = concurrently(copy.sparkSession, consumers).flatten.toMap
+      // One full scan fills the copy; with several queries, each reads it.
+      val copied = n + (if (plans.size > 1) m * plans.size else 0L)
+      val wall = (System.nanoTime() - t0) / 1_000_000
+      ScheduledRun(alerts, ExecStats(queries.size, 1, n, copied, wall))
+    } finally copy.unpersist()
+  }
+
+  /** Run the tasks on a pool of at most `defaultParallelism` threads that
+    * carry the caller's Spark local properties (job group, description,
+    * scheduler pool), wait for all of them, and rethrow the first failure.
+    */
+  private def concurrently[A](spark: SparkSession, tasks: Seq[() => A]): Seq[A] = {
+    val session = spark.asInstanceOf[classic.SparkSession]
+    val pool = Executors.newFixedThreadPool(
+      math.max(1, math.min(tasks.size, session.sparkContext.defaultParallelism)))
+    try {
+      val results = tasks.map(t => SQLExecution.withThreadLocalCaptured(session, pool)(t()))
+        .map(f => Try(f.get()))
+      results.collectFirst { case Failure(e: ExecutionException) => throw e.getCause }
+      results.map(_.get)
+    } finally pool.shutdown()
   }
 }

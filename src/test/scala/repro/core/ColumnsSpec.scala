@@ -172,4 +172,16 @@ class ColumnsSpec extends SparkSpec {
     val r = rulePlan(Parser.parse("proc p1 write file f1 as evt1\nreturn evt1.id, p1"))
     assert(r.returns == Seq("evt1_id" -> "evt1__event_id", "p1" -> "evt1__subj_exe"))
   }
+
+  test("compile records the event columns a plan reads") {
+    import repro.queries.DemoQueries
+    // r2: p2 joins its start (object columns) to its write (subject columns).
+    assert(Columns.compile(DemoQueries.r2MalwareInfection(0L)).reads == Set(
+      "event_type", "op", "ts", "agentid", "subj_exe", "subj_pid", "obj_exe", "obj_pid",
+      "file_name"))
+    assert(Columns.compile(DemoQueries.a3OutlierDbscan(1L)).reads == Set(
+      "event_type", "op", "ts", "agentid", "subj_exe", "dst_ip", "amount"))
+    assert(Columns.compile(Parser.parse("proc p write ip i[srcport > 0] as evt\nreturn evt.id"))
+      .reads == Set("event_type", "op", "ts", "src_port", "event_id"))
+  }
 }

@@ -1,5 +1,10 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.{col, lit, udf}
 import repro.SparkSpec
 import repro.events.{AttackTrace, MonitoringData}
 import repro.saql.Parser
@@ -76,14 +81,65 @@ class SchedulerSpec extends SparkSpec {
   }
 
   test("all 8 demo queries raise the same alerts from one copy as independently") {
-    val mdq = Scheduler.runMasterDependent(attack, demo)
-    assert(mdq.alerts == Scheduler.runIndependent(attack, demo).alerts)
-    assert(demo.filter(_.modelType == repro.saql.Ast.RuleModel).forall(q => mdq.alerts(q.name).nonEmpty))
+    val ind = Scheduler.runIndependent(attack, demo).alerts
+    assert(demo.filter(_.modelType == repro.saql.Ast.RuleModel).forall(q => ind(q.name).nonEmpty))
+    // The consumers run concurrently: every run must give the same alerts.
+    for (run <- 1 to 3)
+      assert(Scheduler.runMasterDependent(attack, demo).alerts == ind, s"run $run")
   }
 
   test("the 8 demo queries count the input and one copy, nothing more") {
     val (_, actions) = sqlExecutions(Scheduler.runMasterDependent(attack, demo))
-    assert(actions.count(_ == "count") == 2, actions)
+    // One count fills the copy and counts the input; 5 rule and 3 state collects.
+    assert(actions.count(_ == "count") == 1, actions)
+    assert(actions.count(_ == "collect") == 8 && actions.size == 9, actions)
+  }
+
+  test("every job of a run carries the caller's job group") {
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(js: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(js.properties.getProperty("spark.jobGroup.id")))
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    sc.setJobGroup("saql-run", "scheduler job group test")
+    try Scheduler.runMasterDependent(attack, demo)
+    finally {
+      sc.clearJobGroup()
+      ListenerBusDrain(sc)
+      sc.removeSparkListener(listener)
+    }
+    assert(groups.size >= 9 && groups.asScala.forall(_ == "saql-run"), groups)
+  }
+
+  test("a failing run rethrows its failure and leaves no cached copy") {
+    val boom = udf((x: Long) => if (x >= 0) throw new IllegalStateException("boom") else x)
+    def cached: Int = spark.sparkContext.getPersistentRDDs.size
+    val queries = repro.queries.DemoQueries.r1InitialCompromise(0L) +: master +: deps
+    // One partition, so each failure is one failed task in the log.
+    val one = stream.coalesce(1)
+    one.count()
+    // The UDF fails the job that fills the copy; the sum overflows in a state aggregation.
+    for ((input, cause) <- Seq(one.withColumn("amount", boom(col("amount"))) -> "boom",
+                               one.withColumn("amount", lit(Long.MaxValue)) -> "overflow")) {
+      val before = cached
+      val e = intercept[Exception](Scheduler.runMasterDependent(input, queries))
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+      assert(messages.exists(m => m != null && m.contains(cause)), e)
+      assert(cached == before)
+    }
+  }
+
+  test("a copy without unread columns serves queries that return evt.id and read i.srcport") {
+    val ports = Parser.parse(
+      """proc p["%chrome.exe"] write ip i[srcport > 0] as evt
+        |return p, evt.id, i.srcport""".stripMargin, "chrome_ports")
+    val queries = Seq(master, ports)
+    val mdq = Scheduler.runMasterDependent(stream, queries)
+    assert(mdq.alerts == Scheduler.runIndependent(stream, queries).alerts)
+    assert(mdq.alerts("chrome_ports").nonEmpty)
   }
 
   test("an empty query list raises no alerts") {
