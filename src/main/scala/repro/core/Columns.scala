@@ -2,14 +2,24 @@ package repro.core
 
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.events.SystemEvent
 import repro.saql.Ast._
 
 /** One event pattern of a rule query, in chain order: its Catalyst
-  * predicate and the condition joining it to the patterns before it in the
-  * chain (`None` for the head, or when nothing relates them: a cross join).
+  * predicate and what joins it to the patterns before it in the chain, as
+  * pairs of match columns (`evt1__ts`): identity equalities, and strict
+  * `ts` orders (left before right).
   */
-final case class PatternPlan(alias: String, predicate: Column, join: Option[Column])
+final case class PatternPlan(alias: String, predicate: Column,
+                             equalities: Seq[(String, String)], before: Seq[(String, String)]) {
+  /** The join condition (`None` for the head, or when nothing relates the
+    * pattern to the ones before it: a cross join).
+    */
+  def join: Option[Column] =
+    (equalities.map { case (l, r) => col(l) === col(r) } ++
+      before.map { case (a, b) => col(a) < col(b) }).reduceOption(_ && _)
+}
 
 /** `name := func(column)`: one window aggregate over a resolved column. */
 final case class StateAgg(name: String, func: String, column: String)
@@ -68,6 +78,10 @@ object Columns {
   private val eventAttrs: Map[String, String] = Map(
     "amount" -> "amount", "ts" -> "ts", "time" -> "ts", "agentid" -> "agentid",
     "op" -> "op", "id" -> "event_id", "type" -> "event_type")
+
+  /** The event columns `avg`, `sum`, `max` and `min` can aggregate. */
+  private val numericColumns: Set[String] =
+    SystemEvent.schema.filter(_.dataType == LongType).map(_.name).toSet
 
   private def fail(msg: String): Nothing = throw new IllegalArgumentException(msg)
 
@@ -176,8 +190,8 @@ object Columns {
     val occ = q.varOccurrences
     val chainPairs: Seq[(String, String)] =
       q.temporal.map(c => c.zip(c.tail)).getOrElse(Nil)
-    def varCol(alias: String, role: String, kind: EntityKind, attr: String): Column =
-      col(s"${alias}__${entityColumn(kind, role, attr)}")
+    def varCol(alias: String, role: String, kind: EntityKind, attr: String): String =
+      s"${alias}__${entityColumn(kind, role, attr)}"
     order.zipWithIndex.map { case (p, i) =>
       val joined = order.take(i).map(_.alias).toSet
       val varConds = for {
@@ -185,15 +199,12 @@ object Columns {
         (aR, roleR, declR) <- occs if aR == p.alias
         (aL, roleL, declL) <- occs if joined.contains(aL)
         idAttr <- identityAttrs(declR.kind)
-      } yield varCol(aL, roleL, declL.kind, idAttr) ===
-              varCol(aR, roleR, declR.kind, idAttr)
+      } yield varCol(aL, roleL, declL.kind, idAttr) -> varCol(aR, roleR, declR.kind, idAttr)
       val tsConds = chainPairs.collect {
-        case (a, b) if b == p.alias && joined.contains(a) =>
-          col(s"${a}__ts") < col(s"${p.alias}__ts")
-        case (a, b) if a == p.alias && joined.contains(b) =>
-          col(s"${p.alias}__ts") < col(s"${b}__ts")
+        case (a, b) if (a == p.alias && joined(b)) || (b == p.alias && joined(a)) =>
+          s"${a}__ts" -> s"${b}__ts"
       }
-      PatternPlan(p.alias, patternPredicate(q, p), (varConds ++ tsConds).reduceOption(_ && _))
+      PatternPlan(p.alias, patternPredicate(q, p), varConds, tsConds)
     }
   }
 
@@ -233,12 +244,18 @@ object Columns {
       val window = q.window.getOrElse(
         fail(s"stateful query '${q.name}' needs #time(...)"))
       val keys = sb.groupBy.map(r => r.colName -> resolve(q, r)._2)
+      if (sb.defs.isEmpty) fail(s"query '${q.name}': state block '${sb.name}' defines no field")
       val aggs = sb.defs.map { d =>
         if (!StateMaintainer.aggregates.contains(d.func))
           fail(s"unknown aggregate '${d.func}'")
-        StateAgg(d.name, d.func, resolve(q, d.arg)._2)
+        val c = resolve(q, d.arg)._2
+        if (!Set("count", "set")(d.func) && !numericColumns(c))
+          fail(s"query '${q.name}': ${d.func}(${d.arg}) needs a numeric attribute")
+        StateAgg(d.name, d.func, c)
       }
       val fields = sb.defs.map(_.name).toSet
+      keys.map(_._1).find(fields).foreach(k =>
+        fail(s"query '${q.name}': state field '$k' has the name of a group-by key"))
       val exprs = q.alert.toSeq ++ q.ret.items ++
         q.invariant.toSeq.flatMap(ib => Seq(ib.init, ib.update))
       val keyIndex = exprs.flatMap(leaves).flatMap {

@@ -12,7 +12,9 @@ import org.apache.spark.sql.functions._
   * Each pattern is a Catalyst predicate; multi-pattern sequences become
   * inner joins on the conditions [[Columns.compile]] derived, which carry
   * both the shared-variable equalities and the temporal ordering of
-  * adjacent chain elements.
+  * adjacent chain elements. This is the Catalyst arm that
+  * [[QueryEngine.run]] executes; the scheduler's [[Dependents]] join the
+  * same pairs on the driver, and tests hold the two arms equal.
   */
 object EventMatcher {
 

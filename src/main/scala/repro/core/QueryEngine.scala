@@ -30,7 +30,10 @@ final case class AlertRecord(
   *   - outlier-based    -> per-window DBSCAN over group states.
   *
   * Runs over a bounded event DataFrame (the replayer's batch view of the
-  * stream); [[repro.streaming.StreamingRunner]] executes the same plans
+  * stream), each query as its own Spark jobs: the Catalyst arm, and the
+  * independent reference for the scheduler's [[Dependents]], which match
+  * and aggregate on the driver and share [[evaluate]] with it.
+  * [[repro.streaming.StreamingRunner]] executes the same plans
   * incrementally on Structured Streaming.
   */
 object QueryEngine {
@@ -40,34 +43,32 @@ object QueryEngine {
 
   def run(events: DataFrame, plan: QueryPlan): Seq[AlertRecord] = plan match {
     case r: RulePlan  => runRule(events, r)
-    case s: StatePlan => runStates(events, Seq(s)).head
+    case s: StatePlan =>
+      evaluate(s, StateMaintainer.collectStates(StateMaintainer.states(events, s), s))
   }
 
-  /** Alerts per stateful plan, for plans sharing a window and group keys:
-    * one state aggregation and one collect for all of them.
-    */
-  def runStates(events: DataFrame, plans: Seq[StatePlan]): Seq[Seq[AlertRecord]] =
-    plans.zip(StateMaintainer.collectStates(StateMaintainer.states(events, plans), plans))
-      .map { case (p, byWindow) => evaluate(p, byWindow) }
+  /** Alerts in detection order: by time, ties by their rendered values. */
+  private[core] def ordered(alerts: Seq[AlertRecord]): Seq[AlertRecord] =
+    alerts.sortBy(a => (a.ts, a.values.toSeq.sortBy(_._1).mkString))
 
   // ------------------------------------------------------------------ rule
 
   private def runRule(events: DataFrame, plan: RulePlan): Seq[AlertRecord] = {
     val projected = EventMatcher.project(EventMatcher.matches(events, plan), plan)
     val names = plan.returns.map(_._1)
-    projected.collect().toSeq.map { r =>
+    ordered(projected.collect().toSeq.map { r =>
       val ts = r.getAs[Long]("__alert_ts")
       val vals = names.map(n => n -> String.valueOf(r.getAs[Any](n))).toMap
       AlertRecord(plan.name, -1L, ts, vals)
-    }.sortBy(_.ts)
+    })
   }
 
   // -------------------------------------------------------------- stateful
 
-  /** A stateful plan's alerts from its collected window states, windows
-    * ascending: alert, invariant and DBSCAN evaluation on the driver.
+  /** A stateful plan's alerts from its window states, windows ascending:
+    * alert, invariant and DBSCAN evaluation on the driver.
     */
-  private def evaluate(plan: StatePlan, byWindow: Seq[(Long, StateMaintainer.WindowStates)]): Seq[AlertRecord] = {
+  private[core] def evaluate(plan: StatePlan, byWindow: Seq[(Long, StateMaintainer.WindowStates)]): Seq[AlertRecord] = {
     val q = plan.query
     val w = plan.window
     val setFields = plan.aggs.filter(_.func == "set").map(_.name).toSet
@@ -129,6 +130,6 @@ object QueryEngine {
         }
       }
     }
-    alerts.result().sortBy(a => (a.ts, a.values.toSeq.sortBy(_._1).mkString))
+    ordered(alerts.result())
   }
 }

@@ -9,15 +9,10 @@ import repro.saql.Ast.WindowSpec
   * matched events, via Spark `groupBy(win, keys).agg(...)` — every
   * aggregate runs through Catalyst and is oracle-checkable against DuckDB.
   *
-  * One aggregation serves several plans (members) that share a window and
-  * group keys, as the scheduler's dependents do: each member's candidate
-  * becomes a boolean tag column, its aggregates read their column only
-  * where its tag holds, and `count_if(tag)` counts its events per group, so
-  * a group with no events of the member is no state of the member.
-  *
   * Window `i` of a `WindowSpec(len, slide)` covers `[i*slide, i*slide+len)`.
   * With `slide == len` (the paper's `#time(10 min)`) windows tumble; with
-  * `slide < len` events are exploded into every window containing them.
+  * `slide < len` events are exploded into every window containing them;
+  * with `slide > len` an event in a gap between windows is in none.
   */
 object StateMaintainer {
 
@@ -38,8 +33,16 @@ object StateMaintainer {
       val iMax = floor(col("ts") / w.slideMs)
       val iMin = greatest(lit(0L),
         floor((col("ts") - w.lengthMs) / w.slideMs) + 1)
-      events.withColumn("__win", explode(sequence(iMin, iMax)))
+      // `sequence` counts down when iMin > iMax; a null array explodes to no row.
+      events.withColumn("__win", explode(when(iMin <= iMax, sequence(iMin, iMax))))
     }
+  }
+
+  /** The windows [[assignWindows]] puts an event at `ts` in, ascending. */
+  def windowsOf(ts: Long, w: WindowSpec): Seq[Long] = {
+    val last = math.floor(ts.toDouble / w.slideMs).toLong
+    if (w.slideMs == w.lengthMs) Seq(last)
+    else math.max(0L, math.floor((ts - w.lengthMs).toDouble / w.slideMs).toLong + 1) to last
   }
 
   /** Events any of the plans could match: the OR of their candidate
@@ -49,62 +52,36 @@ object StateMaintainer {
   def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
     events.filter(plans.map(_.candidate).reduceOption(_ || _).getOrElse(lit(false)))
 
-  /** Member `i`'s tag column, its event count per group, and the column of
-    * its field `f`.
+  /** Group matched events by `window` and the plan's keys and compute its
+    * state fields; shared by the batch and the streaming state paths.
     */
-  private def tag(i: Int): String = s"__t$i"
-  private def presence(i: Int): String = s"__n$i"
-  private def field(i: Int, f: String): String = s"m${i}_$f"
-
-  /** The members' matched events, each with member `i`'s tag: does its
-    * candidate hold? A lone member's tag is `true`, since the filter
-    * already applied its candidate.
-    */
-  def tagged(events: DataFrame, members: Seq[StatePlan]): DataFrame =
-    matchedEvents(events, members: _*).select(col("*") +: members.zipWithIndex.map {
-      case (m, i) => (if (members.size == 1) lit(true) else m.candidate).as(tag(i))
-    }: _*)
-
-  /** Group tagged events by `window` and the members' shared keys (named
-    * after the first member's) and compute each member's presence count
-    * and fields; shared by the batch and the streaming state paths.
-    */
-  def aggregate(events: DataFrame, window: Column, members: Seq[StatePlan]): DataFrame = {
-    val keyCols = members.head.keys.map { case (label, c) => col(c).as(label) }
-    val aggs = members.zipWithIndex.flatMap { case (m, i) =>
-      val t = col(tag(i))
-      count_if(t).as(presence(i)) +: m.aggs.map(a =>
-        aggregates(a.func)(when(t, col(a.column))).as(field(i, a.name)))
-    }
+  def aggregate(events: DataFrame, window: Column, plan: StatePlan): DataFrame = {
+    val keyCols = plan.keys.map { case (label, c) => col(c).as(label) }
+    val aggs = plan.aggs.map(a => aggregates(a.func)(col(a.column)).as(a.name))
     events.groupBy(window +: keyCols: _*).agg(aggs.head, aggs.tail: _*)
   }
 
-  /** Per-window, per-group states of members sharing a window and keys:
-    * `__win`, group-key columns, then per member its presence count and
-    * state fields.
+  /** Per-window, per-group states of a plan: `__win`, group-key columns,
+    * then its state fields.
     */
-  def states(events: DataFrame, members: Seq[StatePlan]): DataFrame =
-    aggregate(assignWindows(tagged(events, members), members.head.window), col("__win"), members)
+  def states(events: DataFrame, plan: StatePlan): DataFrame =
+    aggregate(assignWindows(matchedEvents(events, plan), plan.window), col("__win"), plan)
 
   /** One window's states on the driver: group key -> state field -> value. */
   type WindowStates = Map[Seq[String], Map[String, Eval.Value]]
 
-  /** Collect a [[states]] DataFrame once and split it into each member's
-    * states per window (windows ascending), keeping only the groups the
-    * member has events in. Group keys are stringified; values become
+  /** Collect a [[states]] DataFrame into the plan's states per window
+    * (windows ascending). Group keys are stringified; values become
     * [[Eval.Value]]s.
     */
-  def collectStates(statesDf: DataFrame, members: Seq[StatePlan]): Seq[Seq[(Long, WindowStates)]] = {
-    val rows = statesDf.collect().toSeq
-    val keys = members.head.keys.map(_._1)
-    members.zipWithIndex.map { case (s, i) =>
-      def fields(r: Row): Map[String, Eval.Value] =
-        s.aggs.map(a => a.name -> value(a.func, r.getAs[Any](field(i, a.name)))).toMap
-      rows.filter(_.getAs[Long](presence(i)) > 0).groupBy(_.getAs[Long]("__win")).toSeq
-        .sortBy(_._1).map { case (win, group) =>
-          win -> group.map(r => keys.map(k => String.valueOf(r.getAs[Any](k))) -> fields(r)).toMap
-        }
-    }
+  def collectStates(statesDf: DataFrame, plan: StatePlan): Seq[(Long, WindowStates)] = {
+    val keys = plan.keys.map(_._1)
+    def fields(r: Row): Map[String, Eval.Value] =
+      plan.aggs.map(a => a.name -> value(a.func, r.getAs[Any](a.name))).toMap
+    statesDf.collect().toSeq.groupBy(_.getAs[Long]("__win")).toSeq
+      .sortBy(_._1).map { case (win, group) =>
+        win -> group.map(r => keys.map(k => String.valueOf(r.getAs[Any](k))) -> fields(r)).toMap
+      }
   }
 
   /** A collected aggregate: a string set, or a number (null is 0). */

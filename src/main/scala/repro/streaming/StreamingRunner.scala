@@ -29,19 +29,19 @@ object StreamingRunner {
 
   /** Sliding-window streaming aggregation computing the query's state
     * block: `window()` over event time with the query's length/slide and a
-    * zero-lateness watermark. It runs the batch state aggregation with one
-    * member, so its columns are the batch [[StateMaintainer.states]]
-    * layout (with `__win` last) and batch and streaming states are
-    * directly comparable (and are, in tests).
+    * zero-lateness watermark. It runs the batch state aggregation, so its
+    * columns are the batch [[StateMaintainer.states]] layout (with `__win`
+    * last) and batch and streaming states are directly comparable (and
+    * are, in tests).
     */
   def windowStates(stream: DataFrame, plan: StatePlan): DataFrame = {
     val w = plan.window
-    val events = StateMaintainer.tagged(stream, Seq(plan))
+    val events = StateMaintainer.matchedEvents(stream, plan)
       .withColumn("__event_time", timestamp_millis(col("ts")))
       .withWatermark("__event_time", "0 milliseconds")
     val winCol = window(col("__event_time"), s"${w.lengthMs} milliseconds",
                         s"${w.slideMs} milliseconds")
-    StateMaintainer.aggregate(events, winCol.as("__window"), Seq(plan))
+    StateMaintainer.aggregate(events, winCol.as("__window"), plan)
       .withColumn("__win",
         floor(unix_millis(col("__window.start")) / w.slideMs))
       .drop("__window")

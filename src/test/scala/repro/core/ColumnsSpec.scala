@@ -126,6 +126,24 @@ class ColumnsSpec extends SparkSpec {
       "return p, ss[2].amt", "beyond the state history of 2")
   }
 
+  test("compile rejects a state with no field, a field named like a key, and a string sum") {
+    val net = "proc p write ip i as evt #time(10 s)\n"
+    rejects(net + "state ss { } group by p\nreturn p", "state block 'ss' defines no field")
+    rejects(net + "state ss { p := count(evt.amount) } group by p\nreturn p",
+      "state field 'p' has the name of a group-by key")
+    for (f <- Seq("avg", "sum", "max", "min"))
+      rejects(net + s"state ss { x := $f(i.dstip) } group by p\nreturn p", s"$f(i.dstip) needs a numeric attribute")
+    assert(Columns.compile(Parser.parse(net + "state ss { n := count(i.dstip)\nips := set(i.dstip) } group by p\nreturn p"))
+      .isInstanceOf[StatePlan])
+  }
+
+  test("compile: a pattern's join is its identity equalities and ts orders") {
+    val Seq(head, next) = rulePlan(repro.queries.DemoQueries.r2MalwareInfection(0L)).patterns
+    assert(head.join.isEmpty)
+    assert(next.equalities == Seq("evt1__obj_exe" -> "evt2__subj_exe", "evt1__obj_pid" -> "evt2__subj_pid"))
+    assert(next.before == Seq("evt1__ts" -> "evt2__ts"))
+  }
+
   test("compile rejects a return attribute that is not the group key") {
     rejects(netState + "return p.pid, ss.amt", "not a group-by key")
   }

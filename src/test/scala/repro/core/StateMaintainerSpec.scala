@@ -35,23 +35,32 @@ class StateMaintainerSpec extends SparkSpec {
     assert(bad.count() == 0)
   }
 
+  test("with slide > length, an event in a gap between windows is in no window") {
+    val w = WindowSpec(60000, 600000) // #time(1 min, 10 min)
+    val ts = Seq(30_000L, 300_000L, 630_000L)
+    val events = TestEvents.df(spark, ts.map(TestEvents.net(0, _, "a.exe", "1.1.1.1", 100)))
+    val assigned = StateMaintainer.assignWindows(events, w).select("ts", "__win").collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toSet
+    assert(assigned == Set(30_000L -> 0L, 630_000L -> 1L))
+    assert(ts.map(StateMaintainer.windowsOf(_, w)) == Seq(Seq(0L), Nil, Seq(1L)))
+  }
+
   test("matched events honour the pattern predicate") {
     val m = StateMaintainer.matchedEvents(stream, statePlan(q2))
     assert(m.filter(col("event_type") =!= "network" || col("op") =!= "write").count() == 0)
   }
 
   test("states layout: __win, group keys, state fields") {
-    val s = StateMaintainer.states(stream, Seq(statePlan(q2)))
-    assert(s.columns.toSeq == Seq("__win", "p", "__n0", "m0_avg_amount"))
+    val s = StateMaintainer.states(stream, statePlan(q2))
+    assert(s.columns.toSeq == Seq("__win", "p", "avg_amount"))
   }
 
   test("oracle: avg state per window/group equals DuckDB") {
-    val s = StateMaintainer.states(stream, Seq(statePlan(q2)))
+    val s = StateMaintainer.states(stream, statePlan(q2))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       subj_exe AS p,
-        |       COUNT(*) AS __n0,
-        |       AVG(CAST(amount AS DOUBLE)) AS m0_avg_amount
+        |       AVG(CAST(amount AS DOUBLE)) AS avg_amount
         |FROM events
         |WHERE event_type = 'network' AND op = 'write'
         |GROUP BY 1, 2""".stripMargin,
@@ -64,12 +73,11 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { amt := sum(evt.amount) } group by i.dstip
         |alert ss.amt > 0
         |return i.dstip, ss.amt""".stripMargin, "q4")
-    val s = StateMaintainer.states(stream, Seq(statePlan(q4)))
+    val s = StateMaintainer.states(stream, statePlan(q4))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
         |       dst_ip AS i_dstip,
-        |       COUNT(*) AS __n0,
-        |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS m0_amt
+        |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS amt
         |FROM events
         |WHERE event_type = 'network' AND op IN ('read', 'write')
         |  AND subj_exe LIKE '%sqlservr.exe'
@@ -84,45 +92,16 @@ class StateMaintainerSpec extends SparkSpec {
         |mx := max(evt.amount) } group by p
         |alert ss.n > 0
         |return p, ss.n, ss.mx""".stripMargin, "qc")
-    val s = StateMaintainer.states(stream, Seq(statePlan(q)))
+    val s = StateMaintainer.states(stream, statePlan(q))
     Oracle.assertEquivalent(s,
       """SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 1200000) AS BIGINT) AS __win,
         |       subj_exe AS p,
-        |       COUNT(*) AS __n0,
-        |       CAST(COUNT(amount) AS DOUBLE) AS m0_n,
-        |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS m0_mx
+        |       CAST(COUNT(amount) AS DOUBLE) AS n,
+        |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS mx
         |FROM events
         |WHERE event_type = 'network' AND op = 'write'
         |GROUP BY 1, 2""".stripMargin,
       "events" -> stream)
-  }
-
-  test("oracle: each member of a fused aggregation equals its own DuckDB GROUP BY") {
-    val subjects = Seq("" -> "", "[\"%chrome.exe\"]" -> " AND subj_exe LIKE '%chrome.exe'",
-                       "[\"%outlook.exe\"]" -> " AND subj_exe LIKE '%outlook.exe'")
-    val members = subjects.map { case (subj, _) => statePlan(Parser.parse(
-      s"""proc p$subj write ip i as evt #time(10 min)
-         |state ss { amt := sum(evt.amount)
-         |hi := max(evt.amount) } group by p
-         |alert ss.amt > 0
-         |return p, ss.amt""".stripMargin)) }
-    val s = StateMaintainer.states(stream, members).cache()
-    assert(s.filter(col("__n1") === 0).count() > 0) // groups member 1 never matched
-    for (((_, where), i) <- subjects.zipWithIndex)
-      Oracle.assertEquivalent(
-        s.filter(col(s"__n$i") > 0).select("__win", "p", s"__n$i", s"m${i}_amt", s"m${i}_hi"),
-        s"""SELECT CAST(FLOOR(CAST(ts AS DOUBLE) / 600000) AS BIGINT) AS __win,
-           |       subj_exe AS p,
-           |       COUNT(*) AS __n$i,
-           |       CAST(SUM(CAST(amount AS DOUBLE)) AS DOUBLE) AS m${i}_amt,
-           |       CAST(MAX(CAST(amount AS DOUBLE)) AS DOUBLE) AS m${i}_hi
-           |FROM events
-           |WHERE event_type = 'network' AND op = 'write'$where
-           |GROUP BY 1, 2""".stripMargin,
-        "events" -> stream)
-    val Seq(_, chrome, _) = StateMaintainer.collectStates(s, members)
-    assert(chrome.nonEmpty && chrome.flatMap(_._2.keys).forall(_.head.endsWith("chrome.exe")))
-    s.unpersist()
   }
 
   test("set aggregate collects distinct object names") {
@@ -131,10 +110,10 @@ class StateMaintainerSpec extends SparkSpec {
         |state ss { set_proc := set(p2.exe_name) } group by p1
         |alert |ss.set_proc| > 0
         |return p1, ss.set_proc""".stripMargin, "q3")
-    val rows = StateMaintainer.states(stream, Seq(statePlan(q3))).collect()
+    val rows = StateMaintainer.states(stream, statePlan(q3)).collect()
     assert(rows.nonEmpty)
     rows.foreach { r =>
-      val s = r.getAs[scala.collection.Seq[String]]("m0_set_proc").toSet
+      val s = r.getAs[scala.collection.Seq[String]]("set_proc").toSet
       assert(s.subsetOf(Set("httpd-worker.exe", "php-cgi.exe", "rotatelogs.exe")))
       assert(s.size == s.toSeq.size) // distinct
     }
@@ -142,7 +121,7 @@ class StateMaintainerSpec extends SparkSpec {
 
   test("collectStates orders windows ascending and typed values") {
     val plan = statePlan(q2)
-    val Seq(byWin) = StateMaintainer.collectStates(StateMaintainer.states(stream, Seq(plan)), Seq(plan))
+    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
     val wins = byWin.map(_._1)
     assert(wins == wins.sorted)
     assert(byWin.head._2.values.forall(_("avg_amount").isInstanceOf[Eval.NumV]))
@@ -151,7 +130,7 @@ class StateMaintainerSpec extends SparkSpec {
 
   test("group keys match the grouping attribute") {
     val plan = statePlan(q2)
-    val Seq(byWin) = StateMaintainer.collectStates(StateMaintainer.states(stream, Seq(plan)), Seq(plan))
+    val byWin = StateMaintainer.collectStates(StateMaintainer.states(stream, plan), plan)
     val keys = byWin.flatMap(_._2.keys).map(_.head).toSet
     assert(keys.contains("chrome.exe")) // benign network writers group by exe
     assert(!keys.exists(_ == "null"))

@@ -60,10 +60,10 @@ class StreamingRunnerSpec extends SparkSpec {
       try {
         q.processAllAvailable()
         val streaming = spark.table("win_out")
-          .select("__win", "p", "__n0", "m0_avg_amount")
+          .select("__win", "p", "avg_amount")
           .collect().map(_.toString).sorted.toSeq
-        val batch = StateMaintainer.states(TestEvents.df(spark, evs), Seq(statePlan(smaQuery)))
-          .select("__win", "p", "__n0", "m0_avg_amount")
+        val batch = StateMaintainer.states(TestEvents.df(spark, evs), statePlan(smaQuery))
+          .select("__win", "p", "avg_amount")
           .collect().map(_.toString).sorted.toSeq
         assert(streaming == batch)
         assert(streaming.nonEmpty)
@@ -85,10 +85,10 @@ class StreamingRunnerSpec extends SparkSpec {
         .outputMode("complete").start()
       try {
         q.processAllAvailable()
-        val streaming = spark.table("slide_out").select("__win", "p", "__n0", "m0_n")
+        val streaming = spark.table("slide_out").select("__win", "p", "n")
           .collect().map(_.toString).sorted.toSeq
-        val batch = StateMaintainer.states(TestEvents.df(spark, evs), Seq(statePlan(slideQuery)))
-          .select("__win", "p", "__n0", "m0_n")
+        val batch = StateMaintainer.states(TestEvents.df(spark, evs), statePlan(slideQuery))
+          .select("__win", "p", "n")
           .collect().map(_.toString).sorted.toSeq
         assert(streaming == batch)
       } finally q.stop()
@@ -108,7 +108,7 @@ class StreamingRunnerSpec extends SparkSpec {
       q.processAllAvailable()
       val out = spark.table("file_out")
       assert(out.count() == 4) // 40s of events, 10s tumbling windows
-      assert(out.filter(col("m0_avg_amount") === 20000.0).count() == 4)
+      assert(out.filter(col("avg_amount") === 20000.0).count() == 4)
     } finally q.stop()
   }
 }
