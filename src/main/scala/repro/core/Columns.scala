@@ -6,13 +6,54 @@ import org.apache.spark.sql.types.LongType
 import repro.events.SystemEvent
 import repro.saql.Ast._
 
-/** One event pattern of a rule query, in chain order: its Catalyst
-  * predicate and what joins it to the patterns before it in the chain, as
+/** One test of one event column, as data: `column op value`, with `op` a
+  * SAQL comparison or `in` (`value` then lists the sorted alternatives,
+  * comma-separated). Equal atoms are the same test, so [[Atom.any]] can
+  * factor a test several patterns share. Its Catalyst predicate is built
+  * with the atom, so a bad comparison fails at compile time.
+  */
+final case class Atom(column: String, op: String, value: String) {
+  val predicate: Column =
+    if (op == "in") col(column).isin(value.split(","): _*) else Columns.compare(col(column), op, value)
+}
+
+object Atom {
+  /** The conjunction of the atoms (true for none). */
+  def all(atoms: Seq[Atom]): Column = atoms.map(_.predicate).reduceOption(_ && _).getOrElse(lit(true))
+
+  /** The disjunction of conjunctions of atoms (false for none), factored on
+    * the atoms they share: the most shared atom first, so
+    * `(a ∧ b) ∨ (a ∧ c)` is built as `a ∧ (b ∨ c)`. The distributive law
+    * holds in SQL's three-valued logic, so this keeps exactly the rows of
+    * the flat form, and a test shared by many patterns is evaluated once.
+    */
+  def any(terms: Seq[Seq[Atom]]): Column = {
+    val ts = terms.map(_.distinct).distinct
+    if (ts.isEmpty) lit(false)
+    else if (ts.exists(_.isEmpty)) lit(true)
+    else {
+      val shares = ts.flatten.groupMapReduce(identity)(_ => 1)(_ + _)
+      val top = ts.flatten.maxBy(shares)
+      if (shares(top) == 1) ts.map(all).reduce(_ || _)
+      else {
+        val (sharing, rest) = ts.partition(_.contains(top))
+        val factored = top.predicate && any(sharing.map(_.filterNot(_ == top)))
+        if (rest.isEmpty) factored else factored || any(rest)
+      }
+    }
+  }
+}
+
+/** One event pattern of a rule query, in chain order: the atoms its events
+  * satisfy and what joins it to the patterns before it in the chain, as
   * pairs of match columns (`evt1__ts`): identity equalities, and strict
   * `ts` orders (left before right).
   */
-final case class PatternPlan(alias: String, predicate: Column,
+final case class PatternPlan(alias: String, atoms: Seq[Atom],
                              equalities: Seq[(String, String)], before: Seq[(String, String)]) {
+  /** The Catalyst predicate that selects this pattern's candidate events. */
+  def predicate: Column = Atom.all(atoms)
+
   /** The join condition (`None` for the head, or when nothing relates the
     * pattern to the ones before it: a cross join).
     */
@@ -33,8 +74,10 @@ final case class ClusterPlan(fields: Seq[String], eps: Double, minPts: Int)
   */
 sealed trait QueryPlan {
   def query: SaqlQuery
+  /** Each pattern's atoms: the pattern matches an event that passes all of them. */
+  def conjunctions: Seq[Seq[Atom]]
   /** OR of the pattern predicates: every event some pattern could match. */
-  def candidate: Column
+  def candidate: Column = Atom.any(conjunctions)
   /** The event columns the plan reads: pattern predicates, join
     * conditions, the window's `ts`, group keys, aggregates and returns.
     */
@@ -47,7 +90,7 @@ sealed trait QueryPlan {
   */
 final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
                           returns: Seq[(String, String)], reads: Set[String]) extends QueryPlan {
-  val candidate: Column = patterns.map(_.predicate).reduce(_ || _)
+  def conjunctions: Seq[Seq[Atom]] = patterns.map(_.atoms)
 
   /** The return items plus `__alert_ts`, selected from the match output. */
   def returnColumns: Seq[Column] =
@@ -59,7 +102,7 @@ final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
   * its alert / return / invariant expressions evaluate against:
   * `keyIndex` gives the group-key position of every attribute they name.
   */
-final case class StatePlan(query: SaqlQuery, candidate: Column,
+final case class StatePlan(query: SaqlQuery, conjunctions: Seq[Seq[Atom]],
                            window: WindowSpec, keys: Seq[(String, String)],
                            aggs: Seq[StateAgg], keyIndex: Map[FieldRef, Int],
                            cluster: Option[ClusterPlan], reads: Set[String]) extends QueryPlan
@@ -132,10 +175,11 @@ object Columns {
     }
 
   /** Comparison on a column against a SAQL literal: numeric when the value
-    * parses as a number, LIKE when it contains `%`, string equality else.
+    * parses as a number (as a `Long` when integral, so values above 2^53
+    * stay distinct), LIKE when it contains `%`, string equality else.
     */
   def compare(c: Column, op: String, value: String): Column = {
-    val numeric = value.toDoubleOption
+    val numeric: Option[Any] = value.toLongOption.orElse(value.toDoubleOption)
     (op, numeric) match {
       case ("=", _) if value.contains("%")  => c.like(value)
       case ("!=", _) if value.contains("%") => !c.like(value)
@@ -151,30 +195,25 @@ object Columns {
     }
   }
 
-  /** A pattern's attribute constraints as (column, op, value): its
-    * subject's, its object's and the query's global constraints.
+  /** A pattern's atoms: its event type, its ops, then its subject's, its
+    * object's and the query's global constraints.
     */
-  private def constraints(q: SaqlQuery, p: EventPattern): Seq[(String, String, String)] = {
+  private def atoms(q: SaqlQuery, p: EventPattern): Seq[Atom] = {
     // Merge constraints from every occurrence of the same variable: re-used
     // variables (`f1` in two patterns) constrain all their occurrences.
-    def predsFor(decl: EntityDecl, role: String): Seq[(String, String, String)] =
+    def predsFor(decl: EntityDecl, role: String): Seq[Atom] =
       q.varOccurrences.get(decl.varName)
         .map(_.flatMap(_._3.preds).distinct).getOrElse(decl.preds)
-        .map(ap => (entityColumn(decl.kind, role, ap.attr), ap.op, ap.value))
+        .map(ap => Atom(entityColumn(decl.kind, role, ap.attr), ap.op, ap.value))
     val globalC = q.globals.map { g =>
       val c = eventAttrs.get(g.attr).orElse(SystemEvent.columns.find(_ == g.attr))
         .getOrElse(fail(s"unknown global attribute '${g.attr}'"))
-      (c, g.op, g.value)
+      Atom(c, g.op, g.value)
     }
-    predsFor(p.subj, "subj") ++ predsFor(p.obj, "obj") ++ globalC
+    (Seq(Atom("event_type", "=", eventTypeOf(p.obj.kind)),
+         Atom("op", "in", p.ops.distinct.sorted.mkString(","))) ++
+      predsFor(p.subj, "subj") ++ predsFor(p.obj, "obj") ++ globalC).distinct
   }
-
-  /** Conjunction of a pattern's type, ops and [[constraints]] — the
-    * Catalyst predicate that selects this pattern's candidate events.
-    */
-  private def patternPredicate(q: SaqlQuery, p: EventPattern): Column =
-    ((col("event_type") === eventTypeOf(p.obj.kind) && col("op").isin(p.ops: _*)) +:
-      constraints(q, p).map { case (c, op, v) => compare(col(c), op, v) }).reduce(_ && _)
 
   /** The query's patterns in chain order (the `with` chain when it names
     * every pattern, else declaration order), each with the condition that
@@ -204,7 +243,7 @@ object Columns {
         case (a, b) if (a == p.alias && joined(b)) || (b == p.alias && joined(a)) =>
           s"${a}__ts" -> s"${b}__ts"
       }
-      PatternPlan(p.alias, patternPredicate(q, p), varConds, tsConds)
+      PatternPlan(p.alias, atoms(q, p), varConds, tsConds)
     }
   }
 
@@ -222,8 +261,7 @@ object Columns {
   def compile(q: SaqlQuery): QueryPlan = {
     q.varOccurrences.keys.foreach(q.kindOf) // one entity kind per variable
     // Every plan reads `ts` (match time or window) and its patterns' columns.
-    val patternReads = Set("event_type", "op", "ts") ++
-      q.patterns.flatMap(constraints(q, _).map(_._1))
+    val patternReads = Set("ts") ++ q.patterns.flatMap(atoms(q, _).map(_.column))
     if (q.modelType == RuleModel) {
       val returns = q.ret.items.map {
         case AttrRef(ref) => ref.colName -> resolve(q, ref)
@@ -284,7 +322,7 @@ object Columns {
           else fail(s"query '${q.name}': unknown state field '$field' in cluster points")
         }, cb.args(0), cb.args(1).toInt)
       }
-      StatePlan(q, q.patterns.map(patternPredicate(q, _)).reduce(_ || _),
+      StatePlan(q, q.patterns.map(atoms(q, _)),
         window, keys, aggs, keyIndex, cluster,
         patternReads ++ keys.map(_._2) ++ aggs.map(_.column))
     }

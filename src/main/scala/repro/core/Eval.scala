@@ -12,7 +12,9 @@ import repro.saql.Ast._
 object Eval {
 
   /** Runtime values: numbers, strings, booleans and string-sets (for the
-    * `set(...)` aggregate and invariant variables).
+    * `set(...)` aggregate and invariant variables). Division by zero is
+    * NaN, whatever the dividend; every comparison with NaN is false, and
+    * NaN as a boolean is false, so an alert over it never fires.
     */
   sealed trait Value {
     def asNum: Double = this match {
@@ -24,7 +26,7 @@ object Eval {
     }
     def asBool: Boolean = this match {
       case BoolV(b) => b
-      case NumV(v)  => v != 0.0
+      case NumV(v)  => v != 0.0 && !v.isNaN
       case v        => throw new IllegalArgumentException(s"not a boolean: $v")
     }
     def asSet: Set[String] = this match {
@@ -74,9 +76,13 @@ object Eval {
         case "+" => NumV(eval(l, env).asNum + eval(r, env).asNum)
         case "-" => NumV(eval(l, env).asNum - eval(r, env).asNum)
         case "*" => NumV(eval(l, env).asNum * eval(r, env).asNum)
-        case "/" => NumV(eval(l, env).asNum / eval(r, env).asNum)
+        case "/" =>
+          val (x, y) = (eval(l, env).asNum, eval(r, env).asNum)
+          NumV(if (y == 0.0) Double.NaN else x / y)
         case "==" | "=" => BoolV(equalValues(eval(l, env), eval(r, env)))
-        case "!=" => BoolV(!equalValues(eval(l, env), eval(r, env)))
+        case "!=" =>
+          val (x, y) = (eval(l, env), eval(r, env))
+          BoolV(!equalValues(x, y) && !Seq(x, y).exists { case NumV(v) => v.isNaN; case _ => false })
         case ">"  => BoolV(eval(l, env).asNum >  eval(r, env).asNum)
         case "<"  => BoolV(eval(l, env).asNum <  eval(r, env).asNum)
         case ">=" => BoolV(eval(l, env).asNum >= eval(r, env).asNum)

@@ -8,8 +8,8 @@ import repro.saql.Ast._
   * scheme.
   *
   * One run makes one copy of the stream: the events any query could match
-  * (the OR of every plan's candidate). That copy is the master's output,
-  * one Spark job. Every query is a dependent that reads its own tags of
+  * (the OR of every plan's patterns, factored on the tests they share).
+  * That copy is the master's output, one Spark job. Every query is a dependent that reads its own tags of
   * the copy on the driver — rule patterns as a join, stateful queries as
   * window accumulators — so the stream is scanned once however many
   * queries run.
@@ -56,6 +56,17 @@ object Scheduler {
                 n * queries.size, wall))
   }
 
+  /** The master's copy of the stream for the plans: the events some plan
+    * could match (one filter, factored on the atoms the plans share), the
+    * columns some plan reads, and the [[Dependents]]' tags. Its per-row
+    * code must stay small enough for the JIT to compile.
+    */
+  def masterCopy(events: DataFrame, plans: Seq[QueryPlan]): DataFrame = {
+    val reads = plans.flatMap(_.reads).toSet
+    StateMaintainer.matchedEvents(events, plans: _*)
+      .select(events.columns.toSeq.filter(reads).map(col) ++ Dependents.tags(plans): _*)
+  }
+
   /** SAQL arm: one Spark job makes the master's copy of the stream for all
     * queries, and every query is a dependent evaluated on the driver over
     * it. The copy keeps the columns some plan reads plus the [[Dependents]]'
@@ -64,10 +75,8 @@ object Scheduler {
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
     val plans = compile(queries)
-    val reads = plans.flatMap(_.reads).toSet
     val input = Observation()
-    val copy = StateMaintainer.matchedEvents(events.observe(input, count(lit(1)).as("n")), plans: _*)
-      .select(events.columns.toSeq.filter(reads).map(col) ++ Dependents.tags(plans): _*)
+    val copy = masterCopy(events.observe(input, count(lit(1)).as("n")), plans)
     val rows = copy.collect().toSeq
     // Without plans the filter is `false`: Spark reads no row, and observes none.
     val n = input.get.getOrElse("n", 0L).asInstanceOf[Long]

@@ -45,12 +45,13 @@ object StateMaintainer {
     else math.max(0L, math.floor((ts - w.lengthMs).toDouble / w.slideMs).toLong + 1) to last
   }
 
-  /** Events any of the plans could match: the OR of their candidate
-    * predicates (none without plans). One plan feeds its own state; the
-    * scheduler's plans share one filtered copy of the stream.
+  /** Events any of the plans could match: the OR of all their patterns'
+    * atom conjunctions, factored on the atoms they share ([[Atom.any]]; none
+    * without plans). One plan feeds its own state; the scheduler's plans
+    * share one filtered copy of the stream.
     */
   def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
-    events.filter(plans.map(_.candidate).reduceOption(_ || _).getOrElse(lit(false)))
+    events.filter(Atom.any(plans.flatMap(_.conjunctions)))
 
   /** Group matched events by `window` and the plan's keys and compute its
     * state fields; shared by the batch and the streaming state paths.

@@ -173,7 +173,6 @@ object Tables {
   }
 
   def t4(spark: SparkSession): (String, Seq[T4Row]) = {
-    import repro.core.TestStreams
     val rows =
       TestStreams.smaSweep(spark) ++ TestStreams.invariantSweep(spark) ++
         TestStreams.outlierSweep(spark)

@@ -1,6 +1,7 @@
-package repro.core
+package repro.report
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.QueryEngine
 import repro.events.SystemEvent
 import repro.report.Tables.T4Row
 import repro.saql.Parser

@@ -70,6 +70,20 @@ class ColumnsSpec extends SparkSpec {
     assert(eq.select("agentid").distinct().count() == 1)
   }
 
+  test("compare: an integral literal compares as a Long, exactly above 2^53") {
+    import spark.implicits._
+    val big = Seq(9007199254740992L, 9007199254740993L).toDF("amount")
+    def amounts(op: String, v: String): Seq[Long] =
+      big.filter(Columns.compare(col("amount"), op, v)).as[Long].collect().toSeq.sorted
+    assert(amounts("=", "9007199254740993") == Seq(9007199254740993L))
+    assert(amounts("!=", "9007199254740993") == Seq(9007199254740992L))
+    assert(amounts(">", "9007199254740992") == Seq(9007199254740993L))
+    assert(amounts("<=", "9007199254740992") == Seq(9007199254740992L))
+    // No cast to double: the column compares as it is.
+    assert(!big.filter(Columns.compare(col("amount"), "=", "0")).queryExecution.analyzed.toString.contains("cast"))
+    assert(amounts(">", "9007199254740992.5") == Nil)
+  }
+
   test("compare: negated LIKE") {
     val notLike = df.filter(Columns.compare(col("subj_exe"), "!=", "%chrome%"))
     assert(notLike.filter(col("subj_exe").contains("chrome")).count() == 0)
@@ -103,6 +117,28 @@ class ColumnsSpec extends SparkSpec {
     // constraint from evt1's declaration of f1.
     val m = df.filter(rulePlan(q).patterns(1).predicate)
     assert(m.filter(!col("file_name").like("%backup1.dmp")).count() == 0)
+  }
+
+  test("compile: a pattern is a conjunction of atoms, its ops sorted") {
+    val q = Parser.parse(
+      """agentid = 1
+        |proc p["%sqlservr.exe"] write || read ip i as evt
+        |return p""".stripMargin)
+    val Seq(p) = rulePlan(q).patterns
+    assert(p.atoms == Seq(Atom("event_type", "=", "network"), Atom("op", "in", "read,write"),
+      Atom("subj_exe", "=", "%sqlservr.exe"), Atom("agentid", "=", "1")))
+    assert(Atom("op", "in", "read,write") == rulePlan(Parser.parse("proc p read || write ip i as evt\nreturn p"))
+      .patterns.head.atoms(1))
+  }
+
+  test("Atom.any factors the most shared atom and keeps the rows of the flat OR") {
+    val Seq(a, b, c, d) = Seq("a", "b", "c", "d").map(v => Atom("subj_exe", "!=", v))
+    val terms = Seq(Seq(a, b), Seq(d, b), Seq(a, c))
+    // Built as (a ∧ (b ∨ c)) ∨ (d ∧ b): the test `a` appears once.
+    assert(Atom.any(terms).toString.split(java.util.regex.Pattern.quote(a.predicate.toString), -1).length == 2)
+    assert(Atom.any(Nil).toString == "false" && Atom.any(Seq(Nil)).toString == "true")
+    for (ts <- Seq(terms, Seq(Seq(a, b), Seq(a)), Seq(Seq(b, a), Seq(a, b), Seq(a, a))))
+      assert(df.filter(Atom.any(ts)).count() == df.filter(ts.map(Atom.all).reduce(_ || _)).count(), ts)
   }
 
   // ------------------------------------------- compile-time rejections

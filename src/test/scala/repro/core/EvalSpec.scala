@@ -111,8 +111,18 @@ class EvalSpec extends AnyFunSuite {
     assert(StrV("x").render == "x")
   }
 
-  test("division by zero yields infinity (numeric semantics)") {
-    assert(eval(Bin("/", n(1), n(0)), env) == NumV(Double.PositiveInfinity))
+  test("x / 0 is NaN, and every comparison with NaN is false") {
+    for (x <- Seq(0.0, 1.0, -1.0)) {
+      val q = Bin("/", n(x), n(0))
+      assert(eval(q, env).asNum.isNaN, s"$x / 0")
+      for (op <- Seq(">", "<", ">=", "<=", "==", "!=")) {
+        assert(!eval(Bin(op, q, n(1)), env).asBool, s"$x / 0 $op 1")
+        assert(!eval(Bin(op, n(1), q), env).asBool, s"1 $op $x / 0")
+      }
+      assert(!eval(q, env).asBool, s"$x / 0 as an alert")
+      assert(!eval(Bin("||", Bin(">", q, n(-1e300)), Bin("<", q, n(1e300))), env).asBool)
+    }
+    assert(NumV(Double.NaN).render == "NaN")
   }
 
   test("unknown operator rejected") {

@@ -5,6 +5,7 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.debug.codegenStringSeq
 import org.apache.spark.sql.functions.{col, lit, udf, when}
 import repro.SparkSpec
 import repro.events.{AttackTrace, MonitoringData}
@@ -94,6 +95,47 @@ class SchedulerSpec extends SparkSpec {
     val (_, actions) = sqlExecutions(Scheduler.runMasterDependent(attack, demo))
     // One collect makes the copy and counts the input; the dependents run on the driver.
     assert(actions == Seq("collect"), actions)
+  }
+
+  test("every whole-stage method of the demo queries' master copy is small enough to JIT-compile") {
+    val copy = Scheduler.masterCopy(attack, demo.map(Columns.compile))
+    val stats = codegenStringSeq(copy.queryExecution.executedPlan).map(_._3.maxMethodCodeSize)
+    // HotSpot never JIT-compiles a method above 8 000 bytes of bytecode
+    // (HugeMethodLimit): the copy's per-row code would run interpreted.
+    assert(stats.nonEmpty && stats.forall(b => b > 0 && b < 8000), stats)
+  }
+
+  test("the factored filter keeps exactly the rows of the flat OR of the patterns") {
+    def ids(events: DataFrame, plans: Seq[QueryPlan]): (Seq[Long], Seq[Long]) = {
+      val flat = plans.flatMap(_.conjunctions).map(Atom.all).reduce(_ || _)
+      def sorted(d: DataFrame) = d.select("event_id").collect().map(_.getLong(0)).toSeq.sorted
+      (sorted(StateMaintainer.matchedEvents(events, plans: _*)), sorted(events.filter(flat)))
+    }
+    val (demoRows, demoFlat) = ids(attack, demo.map(Columns.compile))
+    assert(demoRows.nonEmpty && demoRows == demoFlat)
+    // Null names, addresses and amounts: both forms drop a row whose test is null.
+    val nullable = Seq(
+      "proc p[\"%a.exe\"] write file f[\"%/x\"] as evt\nreturn p, f",
+      "proc p[\"%a.exe\"] write file f[name != \"/y\"] as evt\nreturn p, f",
+      "proc p read || write file f[name != \"/x\"] as evt\nreturn p, f",
+      "proc p write ip i[dstip = \"1.1.1.1\"] as evt\nreturn p, i",
+      "amount > 50\nproc p[\"%b.exe\"] write ip i as evt\nreturn p, i",
+      "amount <= 50\nproc p write ip i[dstip != \"2.2.2.2\"] as evt\nreturn p, i")
+      .zipWithIndex.map { case (src, k) => Columns.compile(Parser.parse(src, s"q$k")) }
+    val evs = Seq(
+      file(0, 1000L, "a.exe", "write", null), file(0, 2000L, null, "write", "/x"),
+      file(0, 3000L, "a.exe", "write", "/x"), file(0, 4000L, "b.exe", "read", null),
+      file(0, 5000L, "a.exe", "write", "/y"), net(0, 6000L, "a.exe", null, 100),
+      net(0, 7000L, "b.exe", "1.1.1.1", -1), net(0, 8000L, null, "2.2.2.2", 10),
+      net(0, 9000L, "b.exe", null, 60), net(0, 10000L, "c.exe", "3.3.3.3", -1))
+    // -1 stands for a null amount.
+    val events = df(spark, evs).withColumn("amount",
+      when(col("amount") >= 0, col("amount")).otherwise(lit(null).cast("long")))
+    for (plans <- Seq(nullable, nullable.reverse, nullable.take(2), demo.map(Columns.compile) ++ nullable)) {
+      val (rows, flat) = ids(events, plans)
+      assert(rows == flat, plans.map(_.name))
+    }
+    assert(ids(events, nullable)._1.nonEmpty)
   }
 
   test("every job of a run carries the caller's job group") {
