@@ -14,7 +14,7 @@ import repro.saql.Ast._
   */
 final case class Atom(column: String, op: String, value: String) {
   val predicate: Column =
-    if (op == "in") col(column).isin(value.split(","): _*) else Columns.compare(col(column), op, value)
+    if (op == "in") col(column).isin(value.split(","): _*) else Columns.compare(column, op, value)
 }
 
 object Atom {
@@ -174,24 +174,32 @@ object Columns {
       case _ => fail(s"unknown variable '${ref.varName}'")
     }
 
-  /** Comparison on a column against a SAQL literal: numeric when the value
-    * parses as a number (as a `Long` when integral, so values above 2^53
-    * stay distinct), LIKE when it contains `%`, string equality else.
+  /** Comparison of an event column against a SAQL literal, typed by the
+    * column. On a numeric column the literal must be a number, compared as a
+    * `Long` when integral (so values above 2^53 stay distinct). On a string
+    * column it is a string, even when it reads as a number: LIKE when it
+    * contains `%`, equality else, and no order.
     */
-  def compare(c: Column, op: String, value: String): Column = {
-    val numeric: Option[Any] = value.toLongOption.orElse(value.toDoubleOption)
-    (op, numeric) match {
-      case ("=", _) if value.contains("%")  => c.like(value)
-      case ("!=", _) if value.contains("%") => !c.like(value)
-      case ("=", Some(d))                   => c === d
-      case ("!=", Some(d))                  => c =!= d
-      case ("<", Some(d))                   => c < d
-      case (">", Some(d))                   => c > d
-      case ("<=", Some(d))                  => c <= d
-      case (">=", Some(d))                  => c >= d
-      case ("=", None)                      => c === value
-      case ("!=", None)                     => c =!= value
-      case (o, _) => fail(s"unsupported comparison '$o' on '$value'")
+  def compare(column: String, op: String, value: String): Column = {
+    val c = col(column)
+    if (numericColumns(column)) {
+      val d: Any = value.toLongOption.orElse(value.toDoubleOption)
+        .getOrElse(fail(s"'$value' is not a number, and '$column' is a numeric attribute"))
+      op match {
+        case "="  => c === d
+        case "!=" => c =!= d
+        case "<"  => c < d
+        case ">"  => c > d
+        case "<=" => c <= d
+        case ">=" => c >= d
+        case o    => fail(s"unsupported comparison '$o' on '$column'")
+      }
+    } else op match {
+      case "=" if value.contains("%")  => c.like(value)
+      case "!=" if value.contains("%") => !c.like(value)
+      case "="                         => c === value
+      case "!="                        => c =!= value
+      case o => fail(s"unsupported comparison '$o' on string attribute '$column'")
     }
   }
 

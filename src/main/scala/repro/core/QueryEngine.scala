@@ -32,9 +32,8 @@ final case class AlertRecord(
   * Runs over a bounded event DataFrame (the replayer's batch view of the
   * stream), each query as its own Spark jobs: the Catalyst arm, and the
   * independent reference for the scheduler's [[Dependents]], which match
-  * and aggregate on the driver and share [[evaluate]] with it.
-  * [[repro.streaming.StreamingRunner]] executes the same plans
-  * incrementally on Structured Streaming.
+  * and aggregate on the driver and share [[evaluate]] with it, in batch
+  * and on a stream ([[Scheduler.runStream]]).
   */
 object QueryEngine {
 

@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Observation}
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, Observation, Row}
 import org.apache.spark.sql.functions.{col, count, lit}
+import org.apache.spark.sql.streaming.StreamingQuery
 import repro.saql.Ast._
 
 /** The concurrent query scheduler with the paper's master-dependent-query
@@ -12,7 +14,8 @@ import repro.saql.Ast._
   * That copy is the master's output, one Spark job. Every query is a dependent that reads its own tags of
   * the copy on the driver — rule patterns as a join, stateful queries as
   * window accumulators — so the stream is scanned once however many
-  * queries run.
+  * queries run. On a stream, [[runStream]] makes the copy of each
+  * micro-batch the same way.
   *
   * [[ExecStats]] counts what the paper's scheme optimises: stream rows
   * ingested (one full-scan copy per run vs per query) and rows copied
@@ -85,5 +88,38 @@ object Scheduler {
     val copied = n + (if (plans.size > 1) rows.size.toLong * plans.size else 0L)
     val wall = (System.nanoTime() - t0) / 1_000_000
     ScheduledRun(alerts, ExecStats(queries.size, 1, n, copied, wall))
+  }
+
+  /** Streaming arm: the master copy of each micro-batch of `stream` is one
+    * collected Spark job. Its rows join the copy so far on the driver, and
+    * [[Dependents]] re-evaluates every query over that copy; `emit` gets the
+    * alerts that became final in the batch, each once. The watermark is the
+    * largest `ts` in the copy, and a row below the watermark of the earlier
+    * batches is late and dropped. A rule alert is final at once, a stateful
+    * one once its window end is at or below the watermark: a window still
+    * open when the stream stops emits nothing.
+    */
+  def runStream(stream: DataFrame, queries: Seq[SaqlQuery])(emit: Seq[AlertRecord] => Unit): StreamingQuery = {
+    val plans = compile(queries)
+    var copy = Vector.empty[Row]
+    var watermark = Long.MinValue
+    val emitted = mutable.Map.empty[AlertRecord, Int].withDefaultValue(0)
+    val onBatch: (DataFrame, Long) => Unit = { (batch, _) =>
+      val fresh = masterCopy(batch, plans)
+      val columns = fresh.columns.toSeq
+      val ts = columns.indexOf("ts")
+      val onTime = fresh.collect().filter(_.getLong(ts) >= watermark)
+      copy ++= onTime
+      watermark = onTime.foldLeft(watermark)((w, r) => math.max(w, r.getLong(ts)))
+      val alerts = Dependents.alerts(plans, columns, copy)
+      // A multiset diff: without `distinct`, equal alerts are distinct matches.
+      val seen = mutable.Map.empty[AlertRecord, Int].withDefaultValue(0)
+      val now = plans.flatMap(p => alerts(p.name))
+        .filter(a => a.win < 0 || a.ts <= watermark)
+        .filter { a => seen(a) += 1; seen(a) > emitted(a) }
+      now.foreach(emitted(_) += 1)
+      if (now.nonEmpty) emit(now)
+    }
+    stream.writeStream.foreachBatch(onBatch).start()
   }
 }

@@ -53,20 +53,15 @@ object StateMaintainer {
   def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
     events.filter(Atom.any(plans.flatMap(_.conjunctions)))
 
-  /** Group matched events by `window` and the plan's keys and compute its
-    * state fields; shared by the batch and the streaming state paths.
-    */
-  def aggregate(events: DataFrame, window: Column, plan: StatePlan): DataFrame = {
-    val keyCols = plan.keys.map { case (label, c) => col(c).as(label) }
-    val aggs = plan.aggs.map(a => aggregates(a.func)(col(a.column)).as(a.name))
-    events.groupBy(window +: keyCols: _*).agg(aggs.head, aggs.tail: _*)
-  }
-
   /** Per-window, per-group states of a plan: `__win`, group-key columns,
     * then its state fields.
     */
-  def states(events: DataFrame, plan: StatePlan): DataFrame =
-    aggregate(assignWindows(matchedEvents(events, plan), plan.window), col("__win"), plan)
+  def states(events: DataFrame, plan: StatePlan): DataFrame = {
+    val keyCols = plan.keys.map { case (label, c) => col(c).as(label) }
+    val aggs = plan.aggs.map(a => aggregates(a.func)(col(a.column)).as(a.name))
+    assignWindows(matchedEvents(events, plan), plan.window)
+      .groupBy(col("__win") +: keyCols: _*).agg(aggs.head, aggs.tail: _*)
+  }
 
   /** One window's states on the driver: group key -> state field -> value. */
   type WindowStates = Map[Seq[String], Map[String, Eval.Value]]

@@ -169,7 +169,9 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     WindowSpec(len, slide)
   }
 
+  /** A positive duration in ms; zero or below 1 ms fails at its number. */
   private def parseDuration(): Long = {
+    val at = i
     val n = next() match {
       case Num(s, _) => s.toDouble
       case t         => i -= 1; fail(s"expected a number but found '${t.text}'")
@@ -181,9 +183,11 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       case "min" | "minute" | "minutes"       => 60_000L
       case "h" | "hour" | "hours"             => 3_600_000L
       case "day" | "days"                     => 86_400_000L
-      case u                                  => fail(s"unknown time unit '$u'")
+      case u                                  => i -= 1; fail(s"unknown time unit '$u'")
     }
-    (n * ms).toLong
+    val d = (n * ms).toLong
+    if (d <= 0) { i = at; fail(s"window length and slide must be at least 1 ms, found '${toks(at).text} $unit'") }
+    d
   }
 
   private def parseWith(): Seq[String] = {

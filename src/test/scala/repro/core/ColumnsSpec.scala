@@ -56,17 +56,17 @@ class ColumnsSpec extends SparkSpec {
   }
 
   test("compare: LIKE for % patterns, equality otherwise") {
-    val like = df.filter(Columns.compare(col("subj_exe"), "=", "%sql%"))
+    val like = df.filter(Columns.compare("subj_exe", "=", "%sql%"))
     assert(like.count() > 0)
     assert(like.filter(!col("subj_exe").contains("sql")).count() == 0)
-    val eq = df.filter(Columns.compare(col("subj_exe"), "=", "chrome.exe"))
+    val eq = df.filter(Columns.compare("subj_exe", "=", "chrome.exe"))
     assert(eq.select("subj_exe").distinct().count() == 1)
   }
 
   test("compare: numeric comparisons cast the column") {
-    val hi = df.filter(Columns.compare(col("amount"), ">", "50000"))
+    val hi = df.filter(Columns.compare("amount", ">", "50000"))
     assert(hi.filter(col("amount") <= 50000).count() == 0)
-    val eq = df.filter(Columns.compare(col("agentid"), "=", "1"))
+    val eq = df.filter(Columns.compare("agentid", "=", "1"))
     assert(eq.select("agentid").distinct().count() == 1)
   }
 
@@ -74,18 +74,56 @@ class ColumnsSpec extends SparkSpec {
     import spark.implicits._
     val big = Seq(9007199254740992L, 9007199254740993L).toDF("amount")
     def amounts(op: String, v: String): Seq[Long] =
-      big.filter(Columns.compare(col("amount"), op, v)).as[Long].collect().toSeq.sorted
+      big.filter(Columns.compare("amount", op, v)).as[Long].collect().toSeq.sorted
     assert(amounts("=", "9007199254740993") == Seq(9007199254740993L))
     assert(amounts("!=", "9007199254740993") == Seq(9007199254740992L))
     assert(amounts(">", "9007199254740992") == Seq(9007199254740993L))
     assert(amounts("<=", "9007199254740992") == Seq(9007199254740992L))
     // No cast to double: the column compares as it is.
-    assert(!big.filter(Columns.compare(col("amount"), "=", "0")).queryExecution.analyzed.toString.contains("cast"))
+    assert(!big.filter(Columns.compare("amount", "=", "0")).queryExecution.analyzed.toString.contains("cast"))
     assert(amounts(">", "9007199254740992.5") == Nil)
   }
 
+  test("compare: a literal on a string attribute is a string, even when it reads as a number") {
+    import spark.implicits._
+    val names = Seq("123", "0123", "abc").toDF("file_name")
+    def kept(op: String, v: String): Seq[String] =
+      names.filter(Columns.compare("file_name", op, v)).as[String].collect().toSeq.sorted
+    assert(kept("=", "123") == Seq("123"))
+    assert(kept("!=", "123") == Seq("0123", "abc"))
+    assert(kept("=", "%12%") == Seq("0123", "123"))
+    for (op <- Seq("<", ">", "<=", ">="))
+      intercept[IllegalArgumentException](Columns.compare("file_name", op, "123"))
+  }
+
+  test("compile rejects a non-numeric literal on a numeric attribute, naming the attribute") {
+    for ((src, column) <- Seq(
+           "proc p write ip i[dstport = \"https\"] as evt\nreturn p" -> "dst_port",
+           "proc p write ip i[srcport != \"%80\"] as evt\nreturn p" -> "src_port",
+           "amount > big\nproc p write ip i as evt\nreturn p" -> "amount",
+           "proc p[pid = init] start proc c as evt\nreturn p" -> "subj_pid")) {
+      val e = intercept[IllegalArgumentException](Columns.compile(Parser.parse(src)))
+      assert(e.getMessage.contains(s"'$column' is a numeric attribute"), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException](
+      Columns.compile(Parser.parse("proc p write file f[name > 123] as evt\nreturn p")))
+    assert(e.getMessage.contains("unsupported comparison '>' on string attribute 'file_name'"), e.getMessage)
+  }
+
+  test("a number on a string attribute runs through the scheduler, and a word on a numeric one runs no job") {
+    val evs = Seq(TestEvents.file(0, 1000L, "a.exe", "write", "123"),
+                  TestEvents.file(0, 2000L, "a.exe", "write", "abc"))
+    val q = Parser.parse("proc p write file f[name = 123] as evt\nreturn p, f", "numeric_name")
+    val alerts = Scheduler.runMasterDependent(TestEvents.df(spark, evs), Seq(q)).alerts("numeric_name")
+    assert(alerts.map(a => a.ts -> a.values("f")) == Seq(1000L -> "123"))
+    val port = Parser.parse("proc p write ip i[dstport = \"https\"] as evt\nreturn p", "port")
+    val (_, executions) = sqlExecutions(
+      intercept[IllegalArgumentException](Scheduler.runMasterDependent(TestEvents.df(spark, evs), Seq(port))))
+    assert(executions.isEmpty)
+  }
+
   test("compare: negated LIKE") {
-    val notLike = df.filter(Columns.compare(col("subj_exe"), "!=", "%chrome%"))
+    val notLike = df.filter(Columns.compare("subj_exe", "!=", "%chrome%"))
     assert(notLike.filter(col("subj_exe").contains("chrome")).count() == 0)
   }
 

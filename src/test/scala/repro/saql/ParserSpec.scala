@@ -321,6 +321,20 @@ class ParserSpec extends AnyFunSuite {
     }
   }
 
+  test("error: a window length or slide below 1 ms, or an unknown unit, is a parse error at its token") {
+    val line2 = "return p"
+    for ((time, at) <- Seq("0 s" -> 0, "0.0001 s" -> 0, "10 s, 0 ms" -> 6, "10 s, 0.5 ms" -> 6)) {
+      val src = s"proc p start proc q as e #time($time)\n$line2"
+      val e = intercept[SaqlParseException](Parser.parse(src))
+      assert(e.pos == src.indexOf("#time(") + 6 + at, e.getMessage)
+      assert(e.getMessage.contains("window length and slide must be at least 1 ms"), e.getMessage)
+    }
+    assert(Parser.parse("proc p start proc q as e #time(1 ms, 0.001 s)\nreturn p").window
+      .contains(WindowSpec(1L, 1L)))
+    val unit = "proc p start proc q as e #time(10 fortnight)\nreturn p"
+    assert(intercept[SaqlParseException](Parser.parse(unit)).pos == unit.indexOf("fortnight"))
+  }
+
   private def collectStateRefs(e: Expr): Seq[StateRef] = e match {
     case s: StateRef   => Seq(s)
     case Bin(_, l, r)  => collectStateRefs(l) ++ collectStateRefs(r)
