@@ -29,8 +29,7 @@ object DBSCAN {
     * formulation). Returns a label array aligned with `points`: clusters are
     * numbered from 0; noise points get [[Noise]].
     */
-  def fit(points: IndexedSeq[Array[Double]], eps: Double, minPts: Int,
-          distance: (Array[Double], Array[Double]) => Double = euclidean): Array[Int] = {
+  def fit(points: IndexedSeq[Array[Double]], eps: Double, minPts: Int): Array[Int] = {
     require(eps > 0, "eps must be positive")
     require(minPts >= 1, "minPts must be >= 1")
     val n = points.length
@@ -41,7 +40,7 @@ object DBSCAN {
       val out = mutable.ArrayBuffer.empty[Int]
       var j = 0
       while (j < n) {
-        if (distance(points(p), points(j)) <= eps) out += j
+        if (euclidean(points(p), points(j)) <= eps) out += j
         j += 1
       }
       out

@@ -76,12 +76,10 @@ sealed trait QueryPlan {
   def query: SaqlQuery
   /** Each pattern's atoms: the pattern matches an event that passes all of them. */
   def conjunctions: Seq[Seq[Atom]]
-  /** OR of the pattern predicates: every event some pattern could match. */
-  def candidate: Column = Atom.any(conjunctions)
-  /** The event columns the plan reads: pattern predicates, join
-    * conditions, the window's `ts`, group keys, aggregates and returns.
+  /** The event columns the plan reads: `ts` (match time or window) and
+    * its atoms' columns.
     */
-  def reads: Set[String]
+  def reads: Set[String] = conjunctions.flatten.map(_.column).toSet + "ts"
   def name: String = query.name
 }
 
@@ -89,8 +87,13 @@ sealed trait QueryPlan {
   * (label, alias-prefixed match column) pairs, e.g. `p1 -> evt1__subj_exe`.
   */
 final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
-                          returns: Seq[(String, String)], reads: Set[String]) extends QueryPlan {
+                          returns: Seq[(String, String)]) extends QueryPlan {
   def conjunctions: Seq[Seq[Atom]] = patterns.map(_.atoms)
+
+  /** Also the event columns of the identity joins and the returns. */
+  override def reads: Set[String] =
+    super.reads ++ (patterns.flatMap(_.equalities).flatMap(e => Seq(e._1, e._2)) ++ returns.map(_._2))
+      .map(c => c.substring(c.lastIndexOf("__") + 2))
 
   /** The return items plus `__alert_ts`, selected from the match output. */
   def returnColumns: Seq[Column] =
@@ -105,7 +108,10 @@ final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
 final case class StatePlan(query: SaqlQuery, conjunctions: Seq[Seq[Atom]],
                            window: WindowSpec, keys: Seq[(String, String)],
                            aggs: Seq[StateAgg], keyIndex: Map[FieldRef, Int],
-                           cluster: Option[ClusterPlan], reads: Set[String]) extends QueryPlan
+                           cluster: Option[ClusterPlan]) extends QueryPlan {
+  /** Also the group keys' and the aggregates' event columns. */
+  override def reads: Set[String] = super.reads ++ keys.map(_._2) ++ aggs.map(_.column)
+}
 
 /** The SAQL query compiler: maps SAQL attribute names onto
   * [[repro.events.SystemEvent]] columns and turns a parsed query into the
@@ -268,22 +274,13 @@ object Columns {
     */
   def compile(q: SaqlQuery): QueryPlan = {
     q.varOccurrences.keys.foreach(q.kindOf) // one entity kind per variable
-    // Every plan reads `ts` (match time or window) and its patterns' columns.
-    val patternReads = Set("ts") ++ q.patterns.flatMap(atoms(q, _).map(_.column))
     if (q.modelType == RuleModel) {
       val returns = q.ret.items.map {
         case AttrRef(ref) => ref.colName -> resolve(q, ref)
         case other =>
           fail(s"rule-based return items must be entity/event attributes, got $other")
       }
-      // A variable in several patterns joins them on its identity columns.
-      val joinReads = for {
-        occs <- q.varOccurrences.values if occs.map(_._1).distinct.size > 1
-        (_, role, decl) <- occs
-        idAttr <- identityAttrs(decl.kind)
-      } yield entityColumn(decl.kind, role, idAttr)
-      RulePlan(q, chain(q), returns.map { case (label, (alias, c)) => label -> s"${alias}__$c" },
-        patternReads ++ joinReads ++ returns.map(_._2._2))
+      RulePlan(q, chain(q), returns.map { case (label, (alias, c)) => label -> s"${alias}__$c" })
     } else {
       val sb = q.state.getOrElse(
         fail(s"query '${q.name}': stateful model needs a state block"))
@@ -330,9 +327,7 @@ object Columns {
           else fail(s"query '${q.name}': unknown state field '$field' in cluster points")
         }, cb.args(0), cb.args(1).toInt)
       }
-      StatePlan(q, q.patterns.map(atoms(q, _)),
-        window, keys, aggs, keyIndex, cluster,
-        patternReads ++ keys.map(_._2) ++ aggs.map(_.column))
+      StatePlan(q, q.patterns.map(atoms(q, _)), window, keys, aggs, keyIndex, cluster)
     }
   }
 }

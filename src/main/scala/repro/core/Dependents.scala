@@ -5,61 +5,62 @@ import org.apache.spark.sql.{Column, Row}
 import org.apache.spark.sql.functions.{coalesce, lit}
 import Eval.{NumV, SetV, Value}
 
-/** The scheduler's dependents, evaluated on the driver over the master's
-  * collected copy of the stream.
-  *
-  * The master tags every copied event with each predicate a dependent
-  * tests: one tag per rule pattern, one per stateful plan's candidate. So
-  * Catalyst evaluates every predicate once, and nothing here re-implements
-  * `LIKE`, numeric comparison or globals. On the driver:
-  *   - a rule plan is a left-deep join of its patterns' tagged events in
-  *     chain order, hashed on the identity equalities and filtered on the
-  *     `ts` orders: the matches of [[EventMatcher.matches]];
-  *   - a stateful plan folds its tagged events into per-(window, group)
-  *     accumulators with Spark's aggregate semantics, and
-  *     [[QueryEngine.evaluate]] runs over the windows.
+/** The scheduler's dependents: every plan evaluated on the driver over the
+  * master's copy of the stream, fed in `ts` order, at once (a bounded run)
+  * or one micro-batch at a time. The copy's `columns` are the plans' reads
+  * and their [[Dependents.tags]], one per pattern, so Catalyst evaluates
+  * every predicate once. The watermark is the largest `ts` fed; a row below
+  * the watermark of the earlier batches is late and dropped.
+  *   - A rule plan keeps its patterns' tagged rows and joins each batch's
+  *     as the delta of a left-deep hash join in chain order (the matches of
+  *     [[EventMatcher.matches]]); its alerts are final at once.
+  *   - A stateful plan keeps the accumulators of its open (window, group)s;
+  *     a window whose end is at or below the watermark goes once to its
+  *     [[QueryEngine.evaluator]].
   */
-object Dependents {
+final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
+  import Dependents._
 
-  /** The predicates a plan's tags carry: its patterns' in chain order, or its candidate. */
-  private def predicates(plan: QueryPlan): Seq[Column] = plan match {
-    case r: RulePlan  => r.patterns.map(_.predicate)
-    case s: StatePlan => Seq(s.candidate)
+  private val at = columns.zipWithIndex.toMap
+  private val ts = columns.indexOf("ts")
+  private var watermark = Long.MinValue
+
+  /** Per plan: the next on-time rows and the time windows close at, to the alerts that became final. */
+  private val dependents: Seq[(Seq[Row], Long) => Seq[AlertRecord]] =
+    plans.zip(plans.scanLeft(0)(_ + _.conjunctions.size)).map { case (plan, first) =>
+      val tags = plan.conjunctions.indices.map(k => at(tag(first + k)))
+      plan match {
+        case r: RulePlan  => rule(r, tags)
+        case s: StatePlan => state(s, tags)
+      }
+    }
+
+  /** The alerts that became final with `rows`, the next batch of the copy:
+    * each plan's in detection order, the plans in order.
+    */
+  def feed(rows: Seq[Row]): Seq[AlertRecord] = {
+    val onTime = rows.filter(_.getLong(ts) >= watermark)
+    watermark = onTime.foldLeft(watermark)((w, r) => math.max(w, r.getLong(ts)))
+    dependents.flatMap(_(onTime, watermark))
   }
 
-  private def tag(i: Int): String = s"__tag$i"
+  /** The alerts of the windows still open at the end of a bounded stream. */
+  def flush(): Seq[AlertRecord] = dependents.flatMap(_(Nil, Long.MaxValue))
 
-  /** The plans' tag columns, in plan order; a null predicate tags false. */
-  def tags(plans: Seq[QueryPlan]): Seq[Column] =
-    plans.flatMap(predicates).zipWithIndex.map { case (p, i) => coalesce(p, lit(false)).as(tag(i)) }
-
-  /** Every plan's alerts from the copy's rows, whose fields `columns` names:
-    * the plans' reads and their [[tags]].
+  /** A rule plan over its patterns' tagged rows. A match holds one row per
+    * pattern, and `alias__column` reads `column` of the alias's row, as
+    * [[EventMatcher.matches]] names the joined columns. As in Spark, null
+    * equals nothing, equal times are not in order, a pattern with no
+    * condition is a cross join, and without `distinct` every match is an
+    * alert; `distinct` reports each returned row once, at its earliest
+    * detection.
     */
-  def alerts(plans: Seq[QueryPlan], columns: Seq[String], rows: Seq[Row]): Map[String, Seq[AlertRecord]] = {
-    val at = columns.zipWithIndex.toMap
-    plans.zip(plans.scanLeft(0)(_ + predicates(_).size)).map { case (plan, first) =>
-      def tagged(k: Int): Seq[Row] = { val t = at(tag(first + k)); rows.filter(_.getBoolean(t)) }
-      plan.name -> (plan match {
-        case r: RulePlan  => rule(r, r.patterns.indices.map(tagged), at)
-        case s: StatePlan => state(s, tagged(0), at)
-      })
-    }.toMap
-  }
-
-  /** A rule plan's alerts from each pattern's tagged rows. A match holds
-    * one row per pattern, and `alias__column` reads `column` of the alias's
-    * row, as [[EventMatcher.matches]] names the joined columns. As in
-    * Spark, null equals nothing, equal times are not in order, a pattern
-    * with no condition is a cross join, and without `distinct` every match
-    * is an alert.
-    */
-  private def rule(plan: RulePlan, sides: Seq[Seq[Row]], at: Map[String, Int]): Seq[AlertRecord] = {
+  private def rule(plan: RulePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[AlertRecord] = {
     val field = (for ((p, k) <- plan.patterns.zipWithIndex; (c, i) <- at)
       yield s"${p.alias}__$c" -> (k, i)).toMap
     def get(m: Seq[Row], c: String): Any = { val (k, i) = field(c); m(k).get(i) }
-    val matches = plan.patterns.zip(sides).foldLeft(Seq(Vector.empty[Row])) {
-      case (partial, (p, side)) =>
+    def matches(sides: Seq[Seq[Row]]): Seq[Vector[Row]] =
+      plan.patterns.zip(sides).foldLeft(Seq(Vector.empty[Row])) { case (partial, (p, side)) =>
         val (lefts, rights) = p.equalities.unzip
         val byKey = side.groupBy(r => rights.map(c => r.get(field(c)._2)))
         partial.flatMap { m =>
@@ -68,35 +69,62 @@ object Dependents {
           else byKey.getOrElse(key, Nil).map(m :+ _).filter(n =>
             p.before.forall { case (a, b) => get(n, a).asInstanceOf[Long] < get(n, b).asInstanceOf[Long] })
         }
+      }
+    var earlier = tags.map(_ => Vector.empty[Row])
+    val reported = mutable.Set.empty[Seq[Any]]
+    (rows, _) => {
+      val fresh = tags.map(t => rows.filter(_.getBoolean(t)))
+      val all = earlier.zip(fresh).map { case (e, f) => e ++ f }
+      // A new match's first fresh row is pattern k's: the patterns before k
+      // read earlier rows, those after it all rows.
+      val found = fresh.indices.map(k => earlier.take(k) ++ Seq(fresh(k)) ++ all.drop(k + 1))
+        .filter(_.forall(_.nonEmpty)).flatMap(matches)
+        .map(m => plan.returns.map(r => get(m, r._2)) -> m.map(_.getLong(ts)).max)
+      earlier = all
+      val kept = if (!plan.query.ret.distinct) found
+        else found.groupMapReduce(_._1)(_._2)(math.min).toSeq.filter(f => reported.add(f._1))
+      QueryEngine.ordered(kept.map { case (values, t) =>
+        AlertRecord(plan.name, -1L, t, plan.returns.map(_._1).zip(values.map(v => String.valueOf(v))).toMap)
+      })
     }
-    val ts = at("ts")
-    val found = matches.map(m => plan.returns.map(r => get(m, r._2)) -> m.map(_.getLong(ts)).max)
-    // `distinct` keeps the earliest detection of each returned row.
-    val kept = if (plan.query.ret.distinct) found.groupMapReduce(_._1)(_._2)(math.min).toSeq else found
-    QueryEngine.ordered(kept.map { case (values, t) =>
-      AlertRecord(plan.name, -1L, t, plan.returns.map(_._1).zip(values.map(v => String.valueOf(v))).toMap)
-    })
   }
 
-  /** A stateful plan's alerts from its tagged rows: a row adds to its
-    * group's accumulators in every window [[StateMaintainer.windowsOf]]
-    * puts it in, and group keys render as in
+  /** A stateful plan over the rows where any of its pattern tags holds: a
+    * row adds to its group's accumulators in every window
+    * [[StateMaintainer.windowsOf]] puts it in, and group keys render as in
     * [[StateMaintainer.collectStates]].
     */
-  private def state(plan: StatePlan, rows: Seq[Row], at: Map[String, Int]): Seq[AlertRecord] = {
-    val ts = at("ts")
+  private def state(plan: StatePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[AlertRecord] = {
     val keys = plan.keys.map(k => at(k._2))
     val inputs = plan.aggs.map(a => at(a.column))
-    val windows = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Seq[Acc]]]
-    for (r <- rows; win <- StateMaintainer.windowsOf(r.getLong(ts), plan.window)) {
-      val accs = windows.getOrElseUpdate(win, mutable.HashMap.empty)
-        .getOrElseUpdate(keys.map(i => String.valueOf(r.get(i))), plan.aggs.map(a => Acc(a.func)))
-      for ((acc, i) <- accs.zip(inputs) if !r.isNullAt(i)) acc.add(r.get(i))
+    val w = plan.window
+    val open = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Seq[Acc]]]
+    val evaluate = QueryEngine.evaluator(plan)
+    val tagged = tags.map(t => (r: Row) => r.getBoolean(t)).reduce((p, q) => (r: Row) => p(r) || q(r))
+    (rows, closeAt) => {
+      for (r <- rows if tagged(r); win <- StateMaintainer.windowsOf(r.getLong(ts), w)) {
+        val accs = open.getOrElseUpdate(win, mutable.HashMap.empty)
+          .getOrElseUpdate(keys.map(i => String.valueOf(r.get(i))), plan.aggs.map(a => Acc(a.func)))
+        for ((acc, i) <- accs.zip(inputs) if !r.isNullAt(i)) acc.add(r.get(i))
+      }
+      evaluate(open.keysIterator.takeWhile(win => win * w.slideMs + w.lengthMs <= closeAt).toSeq.map { win =>
+        win -> open.remove(win).get.toMap.map { case (key, accs) =>
+          key -> plan.aggs.map(_.name).zip(accs.map(_.value)).toMap
+        }
+      })
     }
-    QueryEngine.evaluate(plan, windows.toSeq.map { case (win, groups) =>
-      win -> groups.toMap.map { case (key, accs) => key -> plan.aggs.map(_.name).zip(accs.map(_.value)).toMap }
-    })
   }
+}
+
+object Dependents {
+
+  private def tag(i: Int): String = s"__tag$i"
+
+  /** The plans' tag columns: one per pattern, in plan and chain order; a
+    * null predicate tags false.
+    */
+  def tags(plans: Seq[QueryPlan]): Seq[Column] =
+    plans.flatMap(_.conjunctions).zipWithIndex.map { case (c, i) => coalesce(Atom.all(c), lit(false)).as(tag(i)) }
 
   /** A running state aggregate over non-null inputs, with the values of
     * [[StateMaintainer.aggregates]]: an empty one reads 0, and an integral

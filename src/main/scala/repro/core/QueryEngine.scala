@@ -32,7 +32,7 @@ final case class AlertRecord(
   * Runs over a bounded event DataFrame (the replayer's batch view of the
   * stream), each query as its own Spark jobs: the Catalyst arm, and the
   * independent reference for the scheduler's [[Dependents]], which match
-  * and aggregate on the driver and share [[evaluate]] with it, in batch
+  * and aggregate on the driver and share [[evaluator]] with it, in batch
   * and on a stream ([[Scheduler.runStream]]).
   */
 object QueryEngine {
@@ -43,7 +43,7 @@ object QueryEngine {
   def run(events: DataFrame, plan: QueryPlan): Seq[AlertRecord] = plan match {
     case r: RulePlan  => runRule(events, r)
     case s: StatePlan =>
-      evaluate(s, StateMaintainer.collectStates(StateMaintainer.states(events, s), s))
+      evaluator(s)(StateMaintainer.collectStates(StateMaintainer.states(events, s), s))
   }
 
   /** Alerts in detection order: by time, ties by their rendered values. */
@@ -64,10 +64,12 @@ object QueryEngine {
 
   // -------------------------------------------------------------- stateful
 
-  /** A stateful plan's alerts from its window states, windows ascending:
-    * alert, invariant and DBSCAN evaluation on the driver.
+  /** A stateful plan's evaluator: alert, invariant and DBSCAN evaluation
+    * on the driver. Each call takes the next windows' states, ascending and
+    * after those of earlier calls, and returns their alerts; the `ss[k]`
+    * history, the invariants and the first window carry over between calls.
     */
-  private[core] def evaluate(plan: StatePlan, byWindow: Seq[(Long, StateMaintainer.WindowStates)]): Seq[AlertRecord] = {
+  private[core] def evaluator(plan: StatePlan): Seq[(Long, StateMaintainer.WindowStates)] => Seq[AlertRecord] = {
     val q = plan.query
     val w = plan.window
     val setFields = plan.aggs.filter(_.func == "set").map(_.name).toSet
@@ -83,52 +85,55 @@ object QueryEngine {
     // Training covers the first `trainWindows` window *slots* of the
     // stream ("uses the first ten windows to train"), anchored at the
     // first window that carries any state.
-    val firstWin = byWindow.headOption.map(_._1).getOrElse(0L)
+    var firstWin = Option.empty[Long]
 
-    val alerts = Vector.newBuilder[AlertRecord]
+    byWindow => {
+      val alerts = Vector.newBuilder[AlertRecord]
 
-    for ((win, states) <- byWindow) {
-      recent = recent.filter(_._1 > win - depth) + (win -> states)
-      val training = q.invariant.isDefined && (win - firstWin) < trainTotal
+      for ((win, states) <- byWindow) {
+        recent = recent.filter(_._1 > win - depth) + (win -> states)
+        if (firstWin.isEmpty) firstWin = Some(win)
+        val training = q.invariant.isDefined && (win - firstWin.get) < trainTotal
 
-      // DBSCAN over this window's group points, if the query clusters.
-      val outlierOf: Map[Seq[String], Boolean] = plan.cluster match {
-        case Some(c) =>
-          val keys = states.keys.toIndexedSeq
-          val points = keys.map(k => c.fields.map(f => states(k)(f).asNum).toArray)
-          keys.zip(DBSCAN.outliers(points, c.eps, c.minPts)).toMap
-        case None => Map.empty
-      }
-
-      for (key <- states.keys) {
-        val env = new Env {
-          def stateRef(idx: Int, field: String): Value =
-            recent.get(win - idx).flatMap(_.get(key))
-              .flatMap(_.get(field)).getOrElse(defaultVal(field))
-          def attrRef(ref: FieldRef): Value = StrV(key(plan.keyIndex(ref)))
-          def invRef(name: String): Value =
-            inv.getOrElseUpdate(key, Eval.eval(q.invariant.get.init, this))
-          def clusterOutlier: Boolean = outlierOf.getOrElse(key, false)
+        // DBSCAN over this window's group points, if the query clusters.
+        val outlierOf: Map[Seq[String], Boolean] = plan.cluster match {
+          case Some(c) =>
+            val keys = states.keys.toIndexedSeq
+            val points = keys.map(k => c.fields.map(f => states(k)(f).asNum).toArray)
+            keys.zip(DBSCAN.outliers(points, c.eps, c.minPts)).toMap
+          case None => Map.empty
         }
 
-        if (training) {
-          // Invariant update: a = eval(update) with the current `a` bound.
-          val ib = q.invariant.get
-          inv(key) = Eval.eval(ib.update, env)
-        } else {
-          val fire = q.alert.forall(a => Eval.eval(a, env).asBool)
-          if (fire) {
-            val vals = q.ret.items.map(item =>
-              Eval.label(item) -> Eval.eval(item, env).render).toMap
-            alerts += AlertRecord(plan.name, win, win * w.slideMs + w.lengthMs, vals)
+        for (key <- states.keys) {
+          val env = new Env {
+            def stateRef(idx: Int, field: String): Value =
+              recent.get(win - idx).flatMap(_.get(key))
+                .flatMap(_.get(field)).getOrElse(defaultVal(field))
+            def attrRef(ref: FieldRef): Value = StrV(key(plan.keyIndex(ref)))
+            def invRef(name: String): Value =
+              inv.getOrElseUpdate(key, Eval.eval(q.invariant.get.init, this))
+            def clusterOutlier: Boolean = outlierOf.getOrElse(key, false)
           }
-          // Online invariants keep learning after training (each detected
-          // novelty is absorbed once reported); offline ones stay frozen.
-          q.invariant.filterNot(_.offline)
-            .foreach(ib => inv(key) = Eval.eval(ib.update, env))
+
+          if (training) {
+            // Invariant update: a = eval(update) with the current `a` bound.
+            val ib = q.invariant.get
+            inv(key) = Eval.eval(ib.update, env)
+          } else {
+            val fire = q.alert.forall(a => Eval.eval(a, env).asBool)
+            if (fire) {
+              val vals = q.ret.items.map(item =>
+                Eval.label(item) -> Eval.eval(item, env).render).toMap
+              alerts += AlertRecord(plan.name, win, win * w.slideMs + w.lengthMs, vals)
+            }
+            // Online invariants keep learning after training (each detected
+            // novelty is absorbed once reported); offline ones stay frozen.
+            q.invariant.filterNot(_.offline)
+              .foreach(ib => inv(key) = Eval.eval(ib.update, env))
+          }
         }
       }
+      ordered(alerts.result())
     }
-    ordered(alerts.result())
   }
 }

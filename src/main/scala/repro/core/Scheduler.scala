@@ -1,7 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, Observation, Row}
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.functions.{col, count, lit}
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.saql.Ast._
@@ -15,7 +14,7 @@ import repro.saql.Ast._
   * the copy on the driver — rule patterns as a join, stateful queries as
   * window accumulators — so the stream is scanned once however many
   * queries run. On a stream, [[runStream]] makes the copy of each
-  * micro-batch the same way.
+  * micro-batch the same way and feeds it to the same dependents.
   *
   * [[ExecStats]] counts what the paper's scheme optimises: stream rows
   * ingested (one full-scan copy per run vs per query) and rows copied
@@ -83,41 +82,25 @@ object Scheduler {
     val rows = copy.collect().toSeq
     // Without plans the filter is `false`: Spark reads no row, and observes none.
     val n = input.get.getOrElse("n", 0L).asInstanceOf[Long]
-    val alerts = Dependents.alerts(plans, copy.columns.toSeq, rows)
+    val dependents = new Dependents(plans, copy.columns.toSeq)
+    val alerts = (dependents.feed(rows) ++ dependents.flush()).groupBy(_.query)
     // One full scan fills the copy; with several queries, each reads it.
     val copied = n + (if (plans.size > 1) rows.size.toLong * plans.size else 0L)
     val wall = (System.nanoTime() - t0) / 1_000_000
-    ScheduledRun(alerts, ExecStats(queries.size, 1, n, copied, wall))
+    ScheduledRun(plans.map(p => p.name -> alerts.getOrElse(p.name, Nil)).toMap,
+      ExecStats(queries.size, 1, n, copied, wall))
   }
 
   /** Streaming arm: the master copy of each micro-batch of `stream` is one
-    * collected Spark job. Its rows join the copy so far on the driver, and
-    * [[Dependents]] re-evaluates every query over that copy; `emit` gets the
-    * alerts that became final in the batch, each once. The watermark is the
-    * largest `ts` in the copy, and a row below the watermark of the earlier
-    * batches is late and dropped. A rule alert is final at once, a stateful
-    * one once its window end is at or below the watermark: a window still
-    * open when the stream stops emits nothing.
+    * collected Spark job, fed to one [[Dependents]]; `emit` gets the alerts
+    * that became final in the batch, so a window still open when the stream
+    * stops emits nothing.
     */
   def runStream(stream: DataFrame, queries: Seq[SaqlQuery])(emit: Seq[AlertRecord] => Unit): StreamingQuery = {
     val plans = compile(queries)
-    var copy = Vector.empty[Row]
-    var watermark = Long.MinValue
-    val emitted = mutable.Map.empty[AlertRecord, Int].withDefaultValue(0)
+    val dependents = new Dependents(plans, masterCopy(stream, plans).columns.toSeq)
     val onBatch: (DataFrame, Long) => Unit = { (batch, _) =>
-      val fresh = masterCopy(batch, plans)
-      val columns = fresh.columns.toSeq
-      val ts = columns.indexOf("ts")
-      val onTime = fresh.collect().filter(_.getLong(ts) >= watermark)
-      copy ++= onTime
-      watermark = onTime.foldLeft(watermark)((w, r) => math.max(w, r.getLong(ts)))
-      val alerts = Dependents.alerts(plans, columns, copy)
-      // A multiset diff: without `distinct`, equal alerts are distinct matches.
-      val seen = mutable.Map.empty[AlertRecord, Int].withDefaultValue(0)
-      val now = plans.flatMap(p => alerts(p.name))
-        .filter(a => a.win < 0 || a.ts <= watermark)
-        .filter { a => seen(a) += 1; seen(a) > emitted(a) }
-      now.foreach(emitted(_) += 1)
+      val now = dependents.feed(masterCopy(batch, plans).collect().toSeq)
       if (now.nonEmpty) emit(now)
     }
     stream.writeStream.foreachBatch(onBatch).start()

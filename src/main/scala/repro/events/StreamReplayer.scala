@@ -5,12 +5,9 @@ import org.apache.spark.sql.functions._
 
 /** The paper's stream replayer: the demo stores monitoring data in
   * databases and replays it as a data stream, selecting hosts and a
-  * start/end time (Fig. 4's web UI, here as an API).
-  *
-  * Two replay forms:
-  *   - a bounded batch view of the selected hosts and interval (what the
-  *     anomaly query engine consumes; events are not sorted);
-  *   - a JSON feed directory that a Structured Streaming file source tails.
+  * start/end time (Fig. 4's web UI, here as an API): a bounded batch view
+  * of the selected hosts and interval (what the anomaly query engine
+  * consumes; events are not sorted).
   */
 object StreamReplayer {
 
@@ -20,13 +17,5 @@ object StreamReplayer {
     val inRange = events.filter(col("ts") >= startMs && col("ts") < endMs)
     if (agents.isEmpty) inRange
     else inRange.filter(col("agentid").isin(agents: _*))
-  }
-
-  /** Write the replayed stream as JSON part-files — the on-disk feed a Structured Streaming file source can tail. Returns
-    * the directory written.
-    */
-  def writeFeed(events: DataFrame, dir: String): String = {
-    events.write.mode("overwrite").json(dir)
-    dir
   }
 }

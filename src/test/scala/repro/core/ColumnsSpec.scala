@@ -132,7 +132,7 @@ class ColumnsSpec extends SparkSpec {
       """agentid = 0
         |proc p1["%apache.exe"] start proc p2 as evt1
         |return p1, p2""".stripMargin)
-    val m = df.filter(Columns.compile(q).candidate)
+    val m = df.filter(Atom.any(Columns.compile(q).conjunctions))
     assert(m.count() > 0)
     assert(m.filter(col("event_type") =!= "process").count() == 0)
     assert(m.filter(col("subj_exe") =!= "apache.exe").count() == 0)
@@ -141,7 +141,7 @@ class ColumnsSpec extends SparkSpec {
 
   test("pattern predicate honours op disjunction") {
     val q = Parser.parse("proc p read || write ip i as evt\nreturn p")
-    val m = df.filter(Columns.compile(q).candidate)
+    val m = df.filter(Atom.any(Columns.compile(q).conjunctions))
     assert(m.filter(!col("op").isin("read", "write")).count() == 0)
     assert(m.select("op").distinct().count() == 2)
   }

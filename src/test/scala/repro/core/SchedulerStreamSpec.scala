@@ -10,13 +10,13 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions.max
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.SparkSpec
-import repro.events.{AttackTrace, StreamReplayer, SystemEvent}
+import repro.events.{AttackTrace, SystemEvent}
 import repro.saql.Parser
 import repro.saql.Ast.SaqlQuery
 import TestEvents.{df, file, net}
 
-/** The scheduler's streaming arm: the master copy of each micro-batch, the
-  * dependents over the copy so far, and only final alerts emitted, once.
+/** The scheduler's streaming arm: the master copy of each micro-batch fed
+  * to the dependents, and only final alerts emitted, once.
   */
 class SchedulerStreamSpec extends SparkSpec {
 
@@ -193,7 +193,7 @@ class SchedulerStreamSpec extends SparkSpec {
         |state ss { avg_amount := avg(evt.amount) } group by p
         |alert ss.avg_amount > 10000
         |return p, ss.avg_amount""".stripMargin, "sma_file")
-    StreamReplayer.writeFeed(df(spark, evs), dir)
+    df(spark, evs).write.json(dir)
     val stream = spark.readStream.schema(SystemEvent.schema).json(dir)
     val out = emitted(Scheduler.runStream(stream, Seq(q)))(_.processAllAvailable()).flatten
     // 40 s of events in 10 s windows; the last one is still open.

@@ -21,11 +21,4 @@ class StreamReplayerSpec extends SparkSpec {
     val r = StreamReplayer.select(df, startMs = 1000, endMs = 2000)
     assert(r.filter(col("ts") < 1000 || col("ts") >= 2000).count() == 0)
   }
-
-  test("writeFeed produces a directory a batch reader round-trips") {
-    val dir = java.nio.file.Files.createTempDirectory("feed").toString + "/out"
-    StreamReplayer.writeFeed(df.limit(200), dir)
-    val back = spark.read.schema(SystemEvent.schema).json(dir)
-    assert(back.count() == 200)
-  }
 }

@@ -1,7 +1,7 @@
 package repro.report
 
 import repro.SparkSpec
-import repro.core.Columns
+import repro.core.{Atom, Columns}
 import repro.events.MonitoringData
 
 class TablesSpec extends SparkSpec {
@@ -21,7 +21,7 @@ class TablesSpec extends SparkSpec {
     // Every event a dependent could match, the master matches too.
     val Seq(master, deps @ _*) = qs.map(Columns.compile)
     val events = MonitoringData.events(spark, sf = 0.002, seed = 1)
-    deps.foreach(d => assert(events.filter(d.candidate && !master.candidate).isEmpty))
+    deps.foreach(d => assert(events.filter(Atom.any(d.conjunctions) && !Atom.any(master.conjunctions)).isEmpty))
   }
 
   test("t1 at tiny scale detects every step (smoke)") {
