@@ -14,9 +14,11 @@ import Eval.{NumV, SetV, Value}
   *   - A rule plan keeps its patterns' tagged rows and joins each batch's
   *     as the delta of a left-deep hash join in chain order (the matches of
   *     [[EventMatcher.matches]]); its alerts are final at once.
-  *   - A stateful plan keeps the accumulators of its open (window, group)s;
-  *     a window whose end is at or below the watermark goes once to its
-  *     [[QueryEngine.evaluator]].
+  *   - The stateful plans with the same window and group-key columns share
+  *     one table of open (window, group) slots, each holding its members'
+  *     own accumulators, so a row is windowed and keyed once for all of
+  *     them; a window whose end is at or below the watermark goes once to
+  *     each member's [[QueryEngine.evaluator]].
   */
 final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   import Dependents._
@@ -25,15 +27,20 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   private val ts = columns.indexOf("ts")
   private var watermark = Long.MinValue
 
-  /** Per plan: the next on-time rows and the time windows close at, to the alerts that became final. */
-  private val dependents: Seq[(Seq[Row], Long) => Seq[AlertRecord]] =
-    plans.zip(plans.scanLeft(0)(_ + _.conjunctions.size)).map { case (plan, first) =>
-      val tags = plan.conjunctions.indices.map(k => at(tag(first + k)))
-      plan match {
-        case r: RulePlan  => rule(r, tags)
-        case s: StatePlan => state(s, tags)
-      }
+  /** Per rule plan, and per group of stateful plans with the same window
+    * and group-key columns: the plans' positions, and their evaluator from
+    * the next on-time rows and the time windows close at to each plan's
+    * alerts that became final.
+    */
+  private val dependents: Seq[(Seq[Int], (Seq[Row], Long) => Seq[Seq[AlertRecord]])] = {
+    val withTags = plans.zip(plans.scanLeft(0)(_ + _.conjunctions.size)).zipWithIndex.map { case ((plan, first), i) =>
+      (plan, plan.conjunctions.indices.map(k => at(tag(first + k))), i)
     }
+    withTags.collect { case (r: RulePlan, tags, i) => Seq(i) -> rule(r, tags) } ++
+      withTags.collect { case (s: StatePlan, tags, i) => (s, tags, i) }
+        .groupBy { case (s, _, _) => (s.window, s.keys.map(_._2)) }.values
+        .map(members => members.map(_._3) -> table(members.map(_._1), members.map(_._2)))
+  }
 
   /** The alerts that became final with `rows`, the next batch of the copy:
     * each plan's in detection order, the plans in order.
@@ -41,11 +48,17 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   def feed(rows: Seq[Row]): Seq[AlertRecord] = {
     val onTime = rows.filter(_.getLong(ts) >= watermark)
     watermark = onTime.foldLeft(watermark)((w, r) => math.max(w, r.getLong(ts)))
-    dependents.flatMap(_(onTime, watermark))
+    evaluate(onTime, watermark)
   }
 
   /** The alerts of the windows still open at the end of a bounded stream. */
-  def flush(): Seq[AlertRecord] = dependents.flatMap(_(Nil, Long.MaxValue))
+  def flush(): Seq[AlertRecord] = evaluate(Nil, Long.MaxValue)
+
+  private def evaluate(rows: Seq[Row], closeAt: Long): Seq[AlertRecord] = {
+    val alerts = new Array[Seq[AlertRecord]](plans.size)
+    for ((members, run) <- dependents; (i, a) <- members.zip(run(rows, closeAt))) alerts(i) = a
+    alerts.toSeq.flatten
+  }
 
   /** A rule plan over its patterns' tagged rows. A match holds one row per
     * pattern, and `alias__column` reads `column` of the alias's row, as
@@ -55,7 +68,7 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
     * alert; `distinct` reports each returned row once, at its earliest
     * detection.
     */
-  private def rule(plan: RulePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[AlertRecord] = {
+  private def rule(plan: RulePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
     val field = (for ((p, k) <- plan.patterns.zipWithIndex; (c, i) <- at)
       yield s"${p.alias}__$c" -> (k, i)).toMap
     def get(m: Seq[Row], c: String): Any = { val (k, i) = field(c); m(k).get(i) }
@@ -83,35 +96,74 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
       earlier = all
       val kept = if (!plan.query.ret.distinct) found
         else found.groupMapReduce(_._1)(_._2)(math.min).toSeq.filter(f => reported.add(f._1))
-      QueryEngine.ordered(kept.map { case (values, t) =>
+      Seq(QueryEngine.ordered(kept.map { case (values, t) =>
         AlertRecord(plan.name, -1L, t, plan.returns.map(_._1).zip(values.map(v => String.valueOf(v))).toMap)
-      })
+      }))
     }
   }
 
-  /** A stateful plan over the rows where any of its pattern tags holds: a
-    * row adds to its group's accumulators in every window
-    * [[StateMaintainer.windowsOf]] puts it in, and group keys render as in
-    * [[StateMaintainer.collectStates]].
+  /** Stateful plans with the same window and group-key columns, over one
+    * table of open (window, group) slots. A row where some member's pattern
+    * tags hold renders its group key as [[StateMaintainer.collectStates]]
+    * does and, in every window [[StateMaintainer.windowsOf]] puts it in,
+    * adds to the slot's accumulators of each member it is tagged for. A
+    * member's accumulators are made by its first row in the slot, so its
+    * evaluator gets only its own groups and windows.
     */
-  private def state(plan: StatePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[AlertRecord] = {
-    val keys = plan.keys.map(k => at(k._2))
-    val inputs = plan.aggs.map(a => at(a.column))
-    val w = plan.window
-    val open = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Seq[Acc]]]
-    val evaluate = QueryEngine.evaluator(plan)
-    val tagged = tags.map(t => (r: Row) => r.getBoolean(t)).reduce((p, q) => (r: Row) => p(r) || q(r))
-    (rows, closeAt) => {
-      for (r <- rows if tagged(r); win <- StateMaintainer.windowsOf(r.getLong(ts), w)) {
-        val accs = open.getOrElseUpdate(win, mutable.HashMap.empty)
-          .getOrElseUpdate(keys.map(i => String.valueOf(r.get(i))), plan.aggs.map(a => Acc(a.func)))
-        for ((acc, i) <- accs.zip(inputs) if !r.isNullAt(i)) acc.add(r.get(i))
+  private def table(members: Seq[StatePlan], tags: Seq[Seq[Int]]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
+    val w = members.head.window
+    val keys = members.head.keys.map(k => at(k._2))
+    val memberTags = tags.map(_.toArray).toArray
+    val inputs = members.map(_.aggs.map(a => at(a.column)).toArray).toArray
+    val evaluators = members.map(QueryEngine.evaluator)
+    val n = members.size
+    val tagged = new Array[Boolean](n)
+    // Open window -> group key -> each member's accumulators, null where it has no row.
+    val open = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Array[Array[Acc]]]]
+    def add(r: Row): Unit = {
+      var any = false
+      var m = 0
+      while (m < n) {
+        val t = memberTags(m)
+        var k = 0
+        while (k < t.length && !r.getBoolean(t(k))) k += 1
+        tagged(m) = k < t.length
+        any |= tagged(m)
+        m += 1
       }
-      evaluate(open.keysIterator.takeWhile(win => win * w.slideMs + w.lengthMs <= closeAt).toSeq.map { win =>
-        win -> open.remove(win).get.toMap.map { case (key, accs) =>
-          key -> plan.aggs.map(_.name).zip(accs.map(_.value)).toMap
+      if (any) {
+        val key = keys.map(i => String.valueOf(r.get(i)))
+        for (win <- StateMaintainer.windowsOf(r.getLong(ts), w)) {
+          val slot = open.getOrElseUpdate(win, mutable.HashMap.empty).getOrElseUpdate(key, new Array(n))
+          m = 0
+          while (m < n) {
+            if (tagged(m)) {
+              if (slot(m) == null) slot(m) = members(m).aggs.map(a => Acc(a.func)).toArray
+              val accs = slot(m)
+              val in = inputs(m)
+              var j = 0
+              while (j < accs.length) {
+                if (!r.isNullAt(in(j))) accs(j).add(r.get(in(j)))
+                j += 1
+              }
+            }
+            m += 1
+          }
         }
-      })
+      }
+    }
+    (rows, closeAt) => {
+      rows.foreach(add)
+      val closed = open.keysIterator.takeWhile(win => win * w.slideMs + w.lengthMs <= closeAt).toSeq
+        .map(win => win -> open.remove(win).get)
+      members.indices.map { m =>
+        evaluators(m)(closed.flatMap { case (win, groups) =>
+          val states = groups.collect { case (key, accs) if accs(m) != null =>
+            key -> members(m).aggs.map(_.name).zip(accs(m).map(_.value)).toMap
+          }.toMap
+          if (states.isEmpty) None else Some(win -> states)
+        })
+      }
     }
   }
 }

@@ -63,7 +63,7 @@ class ColumnsSpec extends SparkSpec {
     assert(eq.select("subj_exe").distinct().count() == 1)
   }
 
-  test("compare: numeric comparisons cast the column") {
+  test("compare: numeric comparisons filter numeric columns") {
     val hi = df.filter(Columns.compare("amount", ">", "50000"))
     assert(hi.filter(col("amount") <= 50000).count() == 0)
     val eq = df.filter(Columns.compare("agentid", "=", "1"))

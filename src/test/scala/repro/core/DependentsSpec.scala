@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, lit, when}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.events.AttackTrace
 import repro.saql.Parser
 import repro.saql.Ast.SaqlQuery
-import TestEvents.{df, file}
+import TestEvents.{df, file, net}
 
 /** The scheduler's dependents fed batch by batch: however a `ts`-ordered
   * master copy is cut, the batches' alerts and the flush are the alerts of
@@ -38,6 +39,19 @@ class DependentsSpec extends SparkSpec {
   private def batchAlerts(events: DataFrame, queries: Seq[SaqlQuery]): Map[String, Seq[String]] =
     Scheduler.runMasterDependent(events, queries).alerts.map { case (q, a) => q -> a.map(_.toString).sorted }
 
+  /** Whether `queries` fed `rows` in any cut raise `expected`: one batch, one
+    * row per batch, and 20 ScalaCheck-chosen cuts (fixed seed).
+    */
+  private def anyCut(queries: Seq[SaqlQuery], columns: Seq[String], rows: Seq[Row],
+                     expected: Map[String, Seq[String]]): Unit = {
+    assert(fed(queries, columns, Seq(rows)) == expected, "one batch")
+    assert(fed(queries, columns, rows.map(Seq(_))) == expected, "one row per batch")
+    val cuts = Gen.choose(0, 50).flatMap(n => Gen.listOfN(n, Gen.choose(1, rows.size - 1)))
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(10L))
+    val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(queries, columns, cut(rows, c)) == expected))
+    assert(res.passed, res.status.toString)
+  }
+
   /** `rows` cut before each of the positions `cuts`. */
   private def cut(rows: Seq[Row], cuts: Seq[Int]): Seq[Seq[Row]] = {
     val bounds = (0 +: cuts.sorted.distinct :+ rows.size).distinct
@@ -55,6 +69,68 @@ class DependentsSpec extends SparkSpec {
     val params = SCTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(10L))
     val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(demo, columns, cut(rows, c)) == expected))
     assert(res.passed, res.status.toString)
+  }
+
+  test("stateful queries that share a window and group keys raise runIndependent's alerts in any cut") {
+    def query(name: String, text: String): SaqlQuery = Parser.parse(text.stripMargin, name)
+    val queries = Seq(
+      // One table: #time(10 min), group by p.
+      query("subsumed_sum_avg",
+        """proc p["%x.exe"] write ip i as evt #time(10 min)
+          |state ss { s := sum(evt.amount)
+          |a := avg(evt.amount) } group by p
+          |alert ss.s > 1000
+          |return p, ss.s, ss.a"""),
+      query("history_count_max_min",
+        """proc p write ip i as evt #time(10 min)
+          |state[3] ss { n := count(evt.amount)
+          |hi := max(evt.amount)
+          |lo := min(evt.amount) } group by p
+          |alert ss[0].n >= ss[2].n
+          |return p, ss[0].n, ss[1].n, ss[2].n, ss[0].hi, ss[0].lo"""),
+      query("disjoint_sets",
+        """proc p read ip i as evt #time(10 min)
+          |state ss { ips := set(i.dstip)
+          |amounts := set(evt.amount) } group by p
+          |return p, ss.ips, ss.amounts"""),
+      query("late_invariant",
+        """proc p["%late.exe"] write ip i as evt #time(10 min)
+          |state ss { ips := set(i.dstip) } group by p
+          |invariant[2][offline] {
+          |  a := empty_set
+          |  a = a union ss.ips
+          |}
+          |alert |ss.ips diff a| > 0
+          |return p, ss.ips"""),
+      // A second, sliding table: #time(10 min, 5 min), group by p.
+      query("sliding_sum",
+        """proc p write ip i as evt #time(10 min, 5 min)
+          |state ss { s := sum(evt.amount) } group by p
+          |return p, ss.s"""),
+      query("sliding_subsumed_count",
+        """proc p["%x.exe"] write ip i as evt #time(10 min, 5 min)
+          |state ss { n := count(evt.amount) } group by p
+          |return p, ss.n"""))
+    // 80 min of events, one every 30 s per process; late.exe starts in
+    // window 4, so its invariant trains on windows 4 and 5.
+    val evs = (0 until 160).flatMap { i =>
+      val t = i * 30_000L
+      val late = Seq("9.9.9.1", "9.9.9.1", "9.9.9.2", "9.9.9.3")
+      Seq(net(0, t, "x.exe", s"10.0.0.${i % 3}", if (i % 7 == 3) -1L else 100L * (i % 11)),
+        net(0, t + 1, "y.exe", s"10.0.1.${i % 4}", if (i % 5 == 1) -1L else 50L * (i % 5),
+          op = if (i % 3 == 0) "read" else "write")) ++
+        (if (i >= 80) Seq(net(0, t + 2, "late.exe", late(math.min(i / 20 - 4, 3)), 10L)) else Nil)
+    }
+    // -1 stands for a null amount.
+    val events = df(spark, evs).withColumn("amount",
+      when(col("amount") >= 0, col("amount")).otherwise(lit(null).cast("long")))
+    val independent = Scheduler.runIndependent(events, queries).alerts
+    assert(queries.forall(q => independent(q.name).nonEmpty), independent)
+    // Trained on windows 4 and 5, the invariant sees new addresses in 6 and 7.
+    assert(independent("late_invariant").map(_.win) == Seq(6L, 7L))
+    val expected = independent.map { case (q, a) => q -> a.map(_.toString).sorted }
+    val (columns, rows) = sortedCopy(events, queries)
+    anyCut(queries, columns, rows, expected)
   }
 
   test("a pattern's event that arrives before the earlier patterns' still completes the match") {

@@ -99,6 +99,15 @@ class SchedulerStreamSpec extends SparkSpec {
     assert(jobs.get == batches.size)
   }
 
+  test("queries that share one window and group keys stream the closed windows' batch alerts, each once") {
+    val queries = repro.report.Tables.concurrentQueries(8)
+    val expected = closed(attack, queries)
+    assert(expected.map(_.query).distinct.size > 1 && expected.forall(_.win >= 0))
+    val out = streamed(attackBatches, queries: _*)
+    assert(sameMultiset(out.flatten, expected))
+    assert(out.size > 1, "alerts come out as the stream unfolds")
+  }
+
   private def evilWrites(name: String, ret: String): SaqlQuery = Parser.parse(
     s"""proc p1["%evil.exe"] write file f1 as evt1
        |return $ret""".stripMargin, name)
@@ -185,7 +194,7 @@ class SchedulerStreamSpec extends SparkSpec {
     assert(all("hand_off").exists(_.values("f1") == "/y") && all("per_10s").head.values("ss_v") == "3")
   }
 
-  test("the StreamReplayer feed's file source drives the same path") {
+  test("a JSON file source drives the same path") {
     val dir = java.nio.file.Files.createTempDirectory("sfeed").toString + "/feed"
     val evs = (0 until 40).map(i => net(0, i * 1000L, "app.exe", "1.1.1.1", 20_000L))
     val q = Parser.parse(
