@@ -9,12 +9,15 @@ import repro.saql.Ast._
 /** One test of one event column, as data: `column op value`, with `op` a
   * SAQL comparison or `in` (`value` then lists the sorted alternatives,
   * comma-separated). Equal atoms are the same test, so [[Atom.any]] can
-  * factor a test several patterns share. Its Catalyst predicate is built
-  * with the atom, so a bad comparison fails at compile time.
+  * factor a test several patterns share. The comparison is checked with the
+  * atom, so a bad one fails at compile time; its Catalyst predicate is built
+  * on first use, as building a `Column` costs tens of microseconds (Spark
+  * records its call site) and the scheduler needs one per distinct atom.
   */
 final case class Atom(column: String, op: String, value: String) {
-  val predicate: Column =
-    if (op == "in") col(column).isin(value.split(","): _*) else Columns.compare(column, op, value)
+  private val test: Column => Column =
+    if (op == "in") _.isin(value.split(",").toIndexedSeq: _*) else Columns.comparison(column, op, value)
+  lazy val predicate: Column = test(col(column))
 }
 
 object Atom {
@@ -76,10 +79,11 @@ sealed trait QueryPlan {
   def query: SaqlQuery
   /** Each pattern's atoms: the pattern matches an event that passes all of them. */
   def conjunctions: Seq[Seq[Atom]]
-  /** The event columns the plan reads: `ts` (match time or window) and
-    * its atoms' columns.
+  /** The event columns the scheduler's dependents read on the driver: `ts`
+    * (match time or window). The atoms' columns are tested in Catalyst and
+    * reach the driver only as the copy's atom bits.
     */
-  def reads: Set[String] = conjunctions.flatten.map(_.column).toSet + "ts"
+  def reads: Set[String] = Set("ts")
   def name: String = query.name
 }
 
@@ -186,28 +190,29 @@ object Columns {
     * column it is a string, even when it reads as a number: LIKE when it
     * contains `%`, equality else, and no order.
     */
-  def compare(column: String, op: String, value: String): Column = {
-    val c = col(column)
+  def compare(column: String, op: String, value: String): Column = comparison(column, op, value)(col(column))
+
+  /** [[compare]] as a test to apply to the column, checked now. */
+  def comparison(column: String, op: String, value: String): Column => Column =
     if (numericColumns(column)) {
       val d: Any = value.toLongOption.orElse(value.toDoubleOption)
         .getOrElse(fail(s"'$value' is not a number, and '$column' is a numeric attribute"))
       op match {
-        case "="  => c === d
-        case "!=" => c =!= d
-        case "<"  => c < d
-        case ">"  => c > d
-        case "<=" => c <= d
-        case ">=" => c >= d
+        case "="  => _ === d
+        case "!=" => _ =!= d
+        case "<"  => _ < d
+        case ">"  => _ > d
+        case "<=" => _ <= d
+        case ">=" => _ >= d
         case o    => fail(s"unsupported comparison '$o' on '$column'")
       }
     } else op match {
-      case "=" if value.contains("%")  => c.like(value)
-      case "!=" if value.contains("%") => !c.like(value)
-      case "="                         => c === value
-      case "!="                        => c =!= value
+      case "=" if value.contains("%")  => _.like(value)
+      case "!=" if value.contains("%") => !_.like(value)
+      case "="                         => _ === value
+      case "!="                        => _ =!= value
       case o => fail(s"unsupported comparison '$o' on string attribute '$column'")
     }
-  }
 
   /** A pattern's atoms: its event type, its ops, then its subject's, its
     * object's and the query's global constraints.

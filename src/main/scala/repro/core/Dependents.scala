@@ -2,14 +2,15 @@ package repro.core
 
 import scala.collection.mutable
 import org.apache.spark.sql.{Column, Row}
-import org.apache.spark.sql.functions.{coalesce, lit}
+import org.apache.spark.sql.functions.when
 import Eval.{NumV, SetV, Value}
 
 /** The scheduler's dependents: every plan evaluated on the driver over the
   * master's copy of the stream, fed in `ts` order, at once (a bounded run)
   * or one micro-batch at a time. The copy's `columns` are the plans' reads
-  * and their [[Dependents.tags]], one per pattern, so Catalyst evaluates
-  * every predicate once. The watermark is the largest `ts` fed; a row below
+  * and their [[Dependents.words]]: one bit per distinct atom, so Catalyst
+  * tests each atom once per row, and a pattern tags a row where all of its
+  * atoms' bits are set. The watermark is the largest `ts` fed; a row below
   * the watermark of the earlier batches is late and dropped.
   *   - A rule plan keeps its patterns' tagged rows and joins each batch's
   *     as the delta of a left-deep hash join in chain order (the matches of
@@ -27,15 +28,33 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   private val ts = columns.indexOf("ts")
   private var watermark = Long.MinValue
 
+  /** Each distinct atom's position `i`: bit `i % 64` of word `i / 64`. */
+  private val index = atoms(plans).zipWithIndex.toMap
+
+  /** The copy columns of the atom words, in word order. */
+  private val wordColumns = (0 until (index.size + 63) / 64).map(k => at(word(k))).toArray
+
+  /** A pattern's mask: per word, the bits of its atoms. */
+  private def mask(conjunction: Seq[Atom]): Array[Long] = {
+    val m = new Array[Long](wordColumns.length)
+    for (a <- conjunction; i = index(a)) m(i / 64) |= 1L << (i % 64)
+    m
+  }
+
+  /** A copied row's atom words, read into `into`. */
+  private def readWords(r: Row, into: Array[Long]): Array[Long] = {
+    var k = 0
+    while (k < into.length) { into(k) = r.getLong(wordColumns(k)); k += 1 }
+    into
+  }
+
   /** Per rule plan, and per group of stateful plans with the same window
     * and group-key columns: the plans' positions, and their evaluator from
     * the next on-time rows and the time windows close at to each plan's
     * alerts that became final.
     */
   private val dependents: Seq[(Seq[Int], (Seq[Row], Long) => Seq[Seq[AlertRecord]])] = {
-    val withTags = plans.zip(plans.scanLeft(0)(_ + _.conjunctions.size)).zipWithIndex.map { case ((plan, first), i) =>
-      (plan, plan.conjunctions.indices.map(k => at(tag(first + k))), i)
-    }
+    val withTags = plans.zipWithIndex.map { case (plan, i) => (plan, plan.conjunctions.map(mask), i) }
     withTags.collect { case (r: RulePlan, tags, i) => Seq(i) -> rule(r, tags) } ++
       withTags.collect { case (s: StatePlan, tags, i) => (s, tags, i) }
         .groupBy { case (s, _, _) => (s.window, s.keys.map(_._2)) }.values
@@ -68,7 +87,7 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
     * alert; `distinct` reports each returned row once, at its earliest
     * detection.
     */
-  private def rule(plan: RulePlan, tags: Seq[Int]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
+  private def rule(plan: RulePlan, tags: Seq[Array[Long]]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
     val field = (for ((p, k) <- plan.patterns.zipWithIndex; (c, i) <- at)
       yield s"${p.alias}__$c" -> (k, i)).toMap
     def get(m: Seq[Row], c: String): Any = { val (k, i) = field(c); m(k).get(i) }
@@ -85,8 +104,9 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
       }
     var earlier = tags.map(_ => Vector.empty[Row])
     val reported = mutable.Set.empty[Seq[Any]]
+    val words = new Array[Long](wordColumns.length)
     (rows, _) => {
-      val fresh = tags.map(t => rows.filter(_.getBoolean(t)))
+      val fresh = tags.map(t => rows.filter(r => holds(t, readWords(r, words))))
       val all = earlier.zip(fresh).map { case (e, f) => e ++ f }
       // A new match's first fresh row is pattern k's: the patterns before k
       // read earlier rows, those after it all rows.
@@ -103,14 +123,14 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   }
 
   /** Stateful plans with the same window and group-key columns, over one
-    * table of open (window, group) slots. A row where some member's pattern
-    * tags hold renders its group key as [[StateMaintainer.collectStates]]
+    * table of open (window, group) slots. A row that some member's pattern
+    * tags renders its group key as [[StateMaintainer.collectStates]]
     * does and, in every window [[StateMaintainer.windowsOf]] puts it in,
     * adds to the slot's accumulators of each member it is tagged for. A
     * member's accumulators are made by its first row in the slot, so its
     * evaluator gets only its own groups and windows.
     */
-  private def table(members: Seq[StatePlan], tags: Seq[Seq[Int]]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
+  private def table(members: Seq[StatePlan], tags: Seq[Seq[Array[Long]]]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
     val w = members.head.window
     val keys = members.head.keys.map(k => at(k._2))
     val memberTags = tags.map(_.toArray).toArray
@@ -118,15 +138,17 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
     val evaluators = members.map(QueryEngine.evaluator)
     val n = members.size
     val tagged = new Array[Boolean](n)
+    val words = new Array[Long](wordColumns.length)
     // Open window -> group key -> each member's accumulators, null where it has no row.
     val open = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Array[Array[Acc]]]]
     def add(r: Row): Unit = {
+      readWords(r, words)
       var any = false
       var m = 0
       while (m < n) {
         val t = memberTags(m)
         var k = 0
-        while (k < t.length && !r.getBoolean(t(k))) k += 1
+        while (k < t.length && !holds(t(k), words)) k += 1
         tagged(m) = k < t.length
         any |= tagged(m)
         m += 1
@@ -170,13 +192,26 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
 
 object Dependents {
 
-  private def tag(i: Int): String = s"__tag$i"
+  private def word(k: Int): String = s"__atoms$k"
 
-  /** The plans' tag columns: one per pattern, in plan and chain order; a
-    * null predicate tags false.
+  /** Whether a row's atom `words` hold every bit of a pattern's `mask`. */
+  private def holds(mask: Array[Long], words: Array[Long]): Boolean = {
+    var k = 0
+    while (k < mask.length && (words(k) & mask(k)) == mask(k)) k += 1
+    k == mask.length
+  }
+
+  /** The distinct atoms of the plans' patterns, in plan and chain order. */
+  private def atoms(plans: Seq[QueryPlan]): Seq[Atom] = plans.flatMap(_.conjunctions).flatten.distinct
+
+  /** The plans' atom words: the `i`-th distinct atom is bit `i % 64` of
+    * `Long` word `i / 64`, set where its Catalyst test is true; a null or
+    * false test leaves it unset.
     */
-  def tags(plans: Seq[QueryPlan]): Seq[Column] =
-    plans.flatMap(_.conjunctions).zipWithIndex.map { case (c, i) => coalesce(Atom.all(c), lit(false)).as(tag(i)) }
+  def words(plans: Seq[QueryPlan]): Seq[Column] =
+    atoms(plans).grouped(64).zipWithIndex.map { case (as, k) =>
+      as.zipWithIndex.map { case (a, i) => when(a.predicate, 1L << i).otherwise(0L) }.reduce(_ bitwiseOR _).as(word(k))
+    }.toSeq
 
   /** A running state aggregate over non-null inputs, with the values of
     * [[StateMaintainer.aggregates]]: an empty one reads 0, and an integral

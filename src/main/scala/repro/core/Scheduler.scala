@@ -10,11 +10,13 @@ import repro.saql.Ast._
   *
   * One run makes one copy of the stream: the events any query could match
   * (the OR of every plan's patterns, factored on the tests they share).
-  * That copy is the master's output, one Spark job. Every query is a dependent that reads its own tags of
-  * the copy on the driver — rule patterns as a join, stateful queries as
-  * window accumulators — so the stream is scanned once however many
-  * queries run. On a stream, [[runStream]] makes the copy of each
-  * micro-batch the same way and feeds it to the same dependents.
+  * That copy is the master's output, one Spark job: the columns the
+  * dependents read and one bit per distinct atom of the patterns. Every
+  * query is a dependent that tags its rows of the copy on the driver from
+  * those bits — rule patterns as a join, stateful queries as window
+  * accumulators — so the stream is scanned once however many queries run.
+  * On a stream, [[runStream]] makes the copy of each micro-batch the same
+  * way and feeds it to the same dependents.
   *
   * [[ExecStats]] counts what the paper's scheme optimises: stream rows
   * ingested (one full-scan copy per run vs per query) and rows copied
@@ -60,19 +62,21 @@ object Scheduler {
 
   /** The master's copy of the stream for the plans: the events some plan
     * could match (one filter, factored on the atoms the plans share), the
-    * columns some plan reads, and the [[Dependents]]' tags. Its per-row
+    * columns the dependents read on the driver ([[QueryPlan.reads]]), and
+    * the [[Dependents]]' atom words, one bit per distinct atom. Its per-row
     * code must stay small enough for the JIT to compile.
     */
   def masterCopy(events: DataFrame, plans: Seq[QueryPlan]): DataFrame = {
     val reads = plans.flatMap(_.reads).toSet
     StateMaintainer.matchedEvents(events, plans: _*)
-      .select(events.columns.toSeq.filter(reads).map(col) ++ Dependents.tags(plans): _*)
+      .select(events.columns.toSeq.filter(reads).map(col) ++ Dependents.words(plans): _*)
   }
 
   /** SAQL arm: one Spark job makes the master's copy of the stream for all
     * queries, and every query is a dependent evaluated on the driver over
-    * it. The copy keeps the columns some plan reads plus the [[Dependents]]'
-    * tags, is collected once, and the same job counts the stream.
+    * it. The copy keeps the columns the dependents read plus the
+    * [[Dependents]]' atom words, is collected once, and the same job counts
+    * the stream.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()

@@ -267,13 +267,12 @@ class ColumnsSpec extends SparkSpec {
 
   test("compile records the event columns a plan reads") {
     import repro.queries.DemoQueries
-    // r2: p2 joins its start (object columns) to its write (subject columns).
+    // r2: p2 joins its start (object columns) to its write (subject columns);
+    // the atoms' columns (event_type, op, agentid) reach the driver as bits.
     assert(Columns.compile(DemoQueries.r2MalwareInfection(0L)).reads == Set(
-      "event_type", "op", "ts", "agentid", "subj_exe", "subj_pid", "obj_exe", "obj_pid",
-      "file_name"))
-    assert(Columns.compile(DemoQueries.a3OutlierDbscan(1L)).reads == Set(
-      "event_type", "op", "ts", "agentid", "subj_exe", "dst_ip", "amount"))
+      "ts", "subj_exe", "subj_pid", "obj_exe", "obj_pid", "file_name"))
+    assert(Columns.compile(DemoQueries.a3OutlierDbscan(1L)).reads == Set("ts", "dst_ip", "amount"))
     assert(Columns.compile(Parser.parse("proc p write ip i[srcport > 0] as evt\nreturn evt.id"))
-      .reads == Set("event_type", "op", "ts", "src_port", "event_id"))
+      .reads == Set("ts", "event_id"))
   }
 }

@@ -36,8 +36,14 @@ class DependentsSpec extends SparkSpec {
     queries.map(q => q.name -> alerts.getOrElse(q.name, Nil).map(_.toString).sorted).toMap
   }
 
+  private def query(name: String, text: String): SaqlQuery = Parser.parse(text.stripMargin, name)
+
   private def batchAlerts(events: DataFrame, queries: Seq[SaqlQuery]): Map[String, Seq[String]] =
     Scheduler.runMasterDependent(events, queries).alerts.map { case (q, a) => q -> a.map(_.toString).sorted }
+
+  /** `runIndependent`'s alerts for `queries` over `events`, as sorted multisets. */
+  private def independentAlerts(events: DataFrame, queries: Seq[SaqlQuery]): Map[String, Seq[String]] =
+    Scheduler.runIndependent(events, queries).alerts.map { case (q, a) => q -> a.map(_.toString).sorted }
 
   /** Whether `queries` fed `rows` in any cut raise `expected`: one batch, one
     * row per batch, and 20 ScalaCheck-chosen cuts (fixed seed).
@@ -72,7 +78,6 @@ class DependentsSpec extends SparkSpec {
   }
 
   test("stateful queries that share a window and group keys raise runIndependent's alerts in any cut") {
-    def query(name: String, text: String): SaqlQuery = Parser.parse(text.stripMargin, name)
     val queries = Seq(
       // One table: #time(10 min), group by p.
       query("subsumed_sum_avg",
@@ -147,5 +152,70 @@ class DependentsSpec extends SparkSpec {
     val oneByOne = fed(queries, columns, rows.map(Seq(_)))
     assert(oneByOne == batchAlerts(events, queries))
     assert(oneByOne == queries.map(q => q.name -> Seq(s"[${q.name}] ts=3000 win=-1 f1=/x, p0=a.exe")).toMap)
+  }
+
+  test("more than 64 distinct atoms fill two atom words, and a pattern with bits in both raises runIndependent's alerts in any cut") {
+    // Atoms in plan order: each rule adds 2 (after the shared type and op),
+    // each stateful query 2 (after `network`): 42 + 1 + 28 = 71, then 2 for `chained`.
+    val rules = (0 until 20).map(i => query(f"rule_$i%02d",
+      s"""proc p["%a$i.exe"] write file f["/d$i"] as evt
+         |return p, f"""))
+    val sums = (0 until 14).map(j => query(f"sum_$j%02d",
+      s"""proc p["%s$j.exe"] write ip i[dstip = "10.0.$j.1"] as evt #time(10 s)
+         |state ss { n := count(evt.amount)
+         |s := sum(evt.amount) } group by p
+         |alert ss.s > 0
+         |return p, ss.n, ss.s"""))
+    val chained = query("chained",
+      """proc p1["%a1.exe"] write file f1["/d1"] as evt1
+        |proc p2["%z.exe"] read file f1 as evt2
+        |with evt1 -> evt2
+        |return p1, p2, f1""")
+    val queries = rules ++ sums :+ chained
+    val plans = queries.map(Columns.compile)
+    val index = plans.flatMap(_.conjunctions).flatten.distinct.zipWithIndex.toMap
+    def straddles(q: SaqlQuery): Boolean = plans(queries.indexOf(q)).conjunctions.exists { c =>
+      c.map(index).exists(_ < 64) && c.map(index).exists(_ >= 64)
+    }
+    assert(index.size == 73 && straddles(chained) && straddles(sums(10)), index.size)
+    val evs = (0 until 60).flatMap { t =>
+      val i = t % 20
+      val j = t % 14
+      Seq(file(0, t * 1000L, s"a$i.exe", "write", s"/d$i"), file(0, t * 1000L + 1, s"a$i.exe", "write", s"/d${i + 1}"),
+        net(0, t * 1000L + 2, s"s$j.exe", s"10.0.$j.1", 10L * t), net(0, t * 1000L + 3, s"s$j.exe", s"10.0.${j + 1}.1", 7L),
+        file(0, t * 1000L + 4, "z.exe", "read", if (t % 2 == 0) "/d1" else "/d2"))
+    }
+    val events = df(spark, evs)
+    val expected = independentAlerts(events, queries)
+    assert(queries.forall(q => expected(q.name).nonEmpty), expected)
+    assert(batchAlerts(events, queries) == expected)
+    val (columns, rows) = sortedCopy(events, queries)
+    assert(columns.filter(_.startsWith("__atoms")) == Seq("__atoms0", "__atoms1"))
+    anyCut(queries, columns, rows, expected)
+  }
+
+  test("an atom that is null on a copied row leaves its bit unset, so its patterns raise runIndependent's alerts") {
+    // `all_*` copy the rows with a null file name; `not_x*` must not count them.
+    val queries = Seq(
+      query("not_x", """proc p["%a.exe"] write file f[name != "/x"] as evt
+                       |return p, f"""),
+      query("all_a", """proc p["%a.exe"] write file f as evt
+                       |return p"""),
+      query("not_x_count", """proc p write file f[name != "/x"] as evt #time(10 s)
+                             |state ss { n := count(evt.amount) } group by p
+                             |return p, ss.n"""),
+      query("all_count", """proc p write file f as evt #time(10 s)
+                           |state ss { n := count(evt.amount) } group by p
+                           |return p, ss.n"""))
+    val names = Seq("/x", null, "/y", null)
+    val evs = (0 until 40).flatMap(t => Seq(
+      file(0, t * 1000L, "a.exe", "write", names(t % 4)), file(0, t * 1000L + 1, "b.exe", "write", names((t + 1) % 4))))
+    val events = df(spark, evs)
+    val expected = independentAlerts(events, queries)
+    assert(expected("not_x").size == 10 && expected("all_a").size == 40, expected)
+    assert(expected("not_x_count") != expected("all_count"))
+    assert(batchAlerts(events, queries) == expected)
+    val (columns, rows) = sortedCopy(events, queries)
+    anyCut(queries, columns, rows, expected)
   }
 }

@@ -97,12 +97,26 @@ class SchedulerSpec extends SparkSpec {
     assert(actions == Seq("collect"), actions)
   }
 
+  /** The 8 demo queries on each of `k` (victim, db) host pairs, named apart. */
+  private def onHosts(k: Int): Seq[SaqlQuery] = (0 until k).flatMap(h =>
+    repro.queries.DemoQueries.all(victim = 2L * h, db = 2L * h + 1).map(_._2).map(q => q.copy(name = s"${q.name}_h$h")))
+
   test("every whole-stage method of the demo queries' master copy is small enough to JIT-compile") {
-    val copy = Scheduler.masterCopy(attack, demo.map(Columns.compile))
-    val stats = codegenStringSeq(copy.queryExecution.executedPlan).map(_._3.maxMethodCodeSize)
-    // HotSpot never JIT-compiles a method above 8 000 bytes of bytecode
-    // (HugeMethodLimit): the copy's per-row code would run interpreted.
-    assert(stats.nonEmpty && stats.forall(b => b > 0 && b < 8000), stats)
+    // The demo queries alone, and on 3 host pairs (24 queries).
+    for (queries <- Seq(demo, onHosts(3))) {
+      val copy = Scheduler.masterCopy(attack, queries.map(Columns.compile))
+      val stats = codegenStringSeq(copy.queryExecution.executedPlan).map(_._3.maxMethodCodeSize)
+      // HotSpot never JIT-compiles a method above 8 000 bytes of bytecode
+      // (HugeMethodLimit): the copy's per-row code would run interpreted.
+      assert(stats.nonEmpty && stats.forall(b => b > 0 && b < 8000), (queries.size, stats))
+    }
+  }
+
+  test("the copy is as wide for the demo queries on 4 host pairs as on one: their reads and one atom word") {
+    def columns(queries: Seq[SaqlQuery]): Seq[String] = Scheduler.masterCopy(attack, queries.map(Columns.compile)).columns.toSeq
+    val reads = demo.map(Columns.compile).flatMap(_.reads).toSet
+    assert(columns(onHosts(1)) == attack.columns.toSeq.filter(reads) :+ "__atoms0")
+    assert(columns(onHosts(4)) == columns(onHosts(1)))
   }
 
   test("the factored filter keeps exactly the rows of the flat OR of the patterns") {
