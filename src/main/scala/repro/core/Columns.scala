@@ -47,22 +47,31 @@ object Atom {
   }
 }
 
+/** A column of a rule match: event column `column` of the event that
+  * pattern `alias` matched.
+  */
+final case class MatchCol(alias: String, column: String) {
+  /** Its name in the Catalyst arm's joined rows (`evt1__ts`). */
+  def name: String = s"${alias}__$column"
+}
+
 /** One event pattern of a rule query, in chain order: the atoms its events
   * satisfy and what joins it to the patterns before it in the chain, as
-  * pairs of match columns (`evt1__ts`): identity equalities, and strict
-  * `ts` orders (left before right).
+  * pairs of [[MatchCol]]s: identity equalities, and strict `ts` orders
+  * (left before right).
   */
 final case class PatternPlan(alias: String, atoms: Seq[Atom],
-                             equalities: Seq[(String, String)], before: Seq[(String, String)]) {
+                             equalities: Seq[(MatchCol, MatchCol)], before: Seq[(MatchCol, MatchCol)]) {
   /** The Catalyst predicate that selects this pattern's candidate events. */
   def predicate: Column = Atom.all(atoms)
 
-  /** The join condition (`None` for the head, or when nothing relates the
-    * pattern to the ones before it: a cross join).
+  /** The join condition over the Catalyst arm's match columns (`None` for
+    * the head, or when nothing relates the pattern to the ones before it: a
+    * cross join).
     */
   def join: Option[Column] =
-    (equalities.map { case (l, r) => col(l) === col(r) } ++
-      before.map { case (a, b) => col(a) < col(b) }).reduceOption(_ && _)
+    (equalities.map { case (l, r) => col(l.name) === col(r.name) } ++
+      before.map { case (a, b) => col(a.name) < col(b.name) }).reduceOption(_ && _)
 }
 
 /** `name := func(column)`: one window aggregate over a resolved column. */
@@ -88,20 +97,19 @@ sealed trait QueryPlan {
 }
 
 /** A rule query: the pattern chain and the return projection as
-  * (label, alias-prefixed match column) pairs, e.g. `p1 -> evt1__subj_exe`.
+  * (label, match column) pairs, e.g. `p1 -> MatchCol("evt1", "subj_exe")`.
   */
 final case class RulePlan(query: SaqlQuery, patterns: Seq[PatternPlan],
-                          returns: Seq[(String, String)]) extends QueryPlan {
+                          returns: Seq[(String, MatchCol)]) extends QueryPlan {
   def conjunctions: Seq[Seq[Atom]] = patterns.map(_.atoms)
 
   /** Also the event columns of the identity joins and the returns. */
   override def reads: Set[String] =
-    super.reads ++ (patterns.flatMap(_.equalities).flatMap(e => Seq(e._1, e._2)) ++ returns.map(_._2))
-      .map(c => c.substring(c.lastIndexOf("__") + 2))
+    super.reads ++ (patterns.flatMap(_.equalities).flatMap(e => Seq(e._1, e._2)) ++ returns.map(_._2)).map(_.column)
 
   /** The return items plus `__alert_ts`, selected from the match output. */
   def returnColumns: Seq[Column] =
-    returns.map { case (label, c) => col(c).as(label) } :+ col("__alert_ts")
+    returns.map { case (label, c) => col(c.name).as(label) } :+ col("__alert_ts")
 }
 
 /** A stateful query (time-series, invariant or outlier): the window, the
@@ -166,21 +174,21 @@ object Columns {
     case IpKind   => "network"
   }
 
-  /** The one name resolver: the (pattern alias, event column) a
-    * [[FieldRef]] reads. Aliases (`evt`, `evt1`, …) resolve through
-    * [[eventAttrs]]; entity variables resolve through their first pattern
-    * occurrence, defaulting the attribute per kind (`p` -> `exe_name`); a
-    * bare event attribute (`agentid`) reads the first pattern's event.
+  /** The one name resolver: the match column a [[FieldRef]] reads. Aliases
+    * (`evt`, `evt1`, …) resolve through [[eventAttrs]]; entity variables
+    * resolve through their first pattern occurrence, defaulting the
+    * attribute per kind (`p` -> `exe_name`); a bare event attribute
+    * (`agentid`) reads the first pattern's event.
     */
-  private def resolve(q: SaqlQuery, ref: FieldRef): (String, String) =
+  private def resolve(q: SaqlQuery, ref: FieldRef): MatchCol =
     if (q.patterns.exists(_.alias == ref.varName)) {
       val a = ref.attr.getOrElse(fail(s"event alias '${ref.varName}' needs an attribute"))
-      ref.varName -> eventAttrs.getOrElse(a, fail(s"unknown event attribute '$a'"))
+      MatchCol(ref.varName, eventAttrs.getOrElse(a, fail(s"unknown event attribute '$a'")))
     } else q.varOccurrences.get(ref.varName) match {
       case Some((alias, role, decl) +: _) =>
-        alias -> entityColumn(decl.kind, role, ref.attr.getOrElse(decl.kind.defaultAttr))
+        MatchCol(alias, entityColumn(decl.kind, role, ref.attr.getOrElse(decl.kind.defaultAttr)))
       case _ if ref.attr.isEmpty && eventAttrs.contains(ref.varName) =>
-        q.patterns.head.alias -> eventAttrs(ref.varName)
+        MatchCol(q.patterns.head.alias, eventAttrs(ref.varName))
       case _ => fail(s"unknown variable '${ref.varName}'")
     }
 
@@ -188,11 +196,9 @@ object Columns {
     * column. On a numeric column the literal must be a number, compared as a
     * `Long` when integral (so values above 2^53 stay distinct). On a string
     * column it is a string, even when it reads as a number: LIKE when it
-    * contains `%`, equality else, and no order.
+    * contains `%`, equality else, and no order. The test is checked now and
+    * applied to the column later ([[Atom.predicate]]).
     */
-  def compare(column: String, op: String, value: String): Column = comparison(column, op, value)(col(column))
-
-  /** [[compare]] as a test to apply to the column, checked now. */
   def comparison(column: String, op: String, value: String): Column => Column =
     if (numericColumns(column)) {
       val d: Any = value.toLongOption.orElse(value.toDoubleOption)
@@ -248,8 +254,8 @@ object Columns {
     val occ = q.varOccurrences
     val chainPairs: Seq[(String, String)] =
       q.temporal.map(c => c.zip(c.tail)).getOrElse(Nil)
-    def varCol(alias: String, role: String, kind: EntityKind, attr: String): String =
-      s"${alias}__${entityColumn(kind, role, attr)}"
+    def varCol(alias: String, role: String, kind: EntityKind, attr: String): MatchCol =
+      MatchCol(alias, entityColumn(kind, role, attr))
     order.zipWithIndex.map { case (p, i) =>
       val joined = order.take(i).map(_.alias).toSet
       val varConds = for {
@@ -260,7 +266,7 @@ object Columns {
       } yield varCol(aL, roleL, declL.kind, idAttr) -> varCol(aR, roleR, declR.kind, idAttr)
       val tsConds = chainPairs.collect {
         case (a, b) if (a == p.alias && joined(b)) || (b == p.alias && joined(a)) =>
-          s"${a}__ts" -> s"${b}__ts"
+          MatchCol(a, "ts") -> MatchCol(b, "ts")
       }
       PatternPlan(p.alias, atoms(q, p), varConds, tsConds)
     }
@@ -275,28 +281,33 @@ object Columns {
 
   /** Compile a parsed query into its [[QueryPlan]]. Pure: it reads no data
     * and starts no Spark job, so every name or argument error surfaces
-    * here, as an `IllegalArgumentException`, before execution begins.
+    * here, as an `IllegalArgumentException`, before execution begins. A
+    * `#time` the plan would ignore is such an error: one on a rule query,
+    * and a second, different one on a stateful query.
     */
   def compile(q: SaqlQuery): QueryPlan = {
     q.varOccurrences.keys.foreach(q.kindOf) // one entity kind per variable
+    val windows = q.patterns.flatMap(_.window).distinct
     if (q.modelType == RuleModel) {
+      if (windows.nonEmpty) fail(s"query '${q.name}': a rule query takes no #time window")
       val returns = q.ret.items.map {
         case AttrRef(ref) => ref.colName -> resolve(q, ref)
         case other =>
           fail(s"rule-based return items must be entity/event attributes, got $other")
       }
-      RulePlan(q, chain(q), returns.map { case (label, (alias, c)) => label -> s"${alias}__$c" })
+      RulePlan(q, chain(q), returns)
     } else {
       val sb = q.state.getOrElse(
         fail(s"query '${q.name}': stateful model needs a state block"))
       val window = q.window.getOrElse(
         fail(s"stateful query '${q.name}' needs #time(...)"))
-      val keys = sb.groupBy.map(r => r.colName -> resolve(q, r)._2)
+      if (windows.size > 1) fail(s"query '${q.name}': its patterns declare different #time windows")
+      val keys = sb.groupBy.map(r => r.colName -> resolve(q, r).column)
       if (sb.defs.isEmpty) fail(s"query '${q.name}': state block '${sb.name}' defines no field")
       val aggs = sb.defs.map { d =>
         if (!StateMaintainer.aggregates.contains(d.func))
           fail(s"unknown aggregate '${d.func}'")
-        val c = resolve(q, d.arg)._2
+        val c = resolve(q, d.arg).column
         if (!Set("count", "set")(d.func) && !numericColumns(c))
           fail(s"query '${q.name}': ${d.func}(${d.arg}) needs a numeric attribute")
         StateAgg(d.name, d.func, c)
@@ -308,7 +319,7 @@ object Columns {
         q.invariant.toSeq.flatMap(ib => Seq(ib.init, ib.update))
       val keyIndex = exprs.flatMap(leaves).flatMap {
         case AttrRef(ref) =>
-          val i = keys.map(_._2).indexOf(resolve(q, ref)._2)
+          val i = keys.map(_._2).indexOf(resolve(q, ref).column)
           if (i < 0) fail(s"'$ref' is not a group-by key of query '${q.name}'")
           Some(ref -> i)
         case StateRef(s, _, f) if s != sb.name || !fields(f) =>

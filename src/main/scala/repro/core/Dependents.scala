@@ -1,17 +1,20 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.sql.{Column, Row}
-import org.apache.spark.sql.functions.when
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, when}
+import repro.events.SystemEvent
 import Eval.{NumV, SetV, Value}
 
-/** The scheduler's dependents: every plan evaluated on the driver over the
-  * master's copy of the stream, fed in `ts` order, at once (a bounded run)
-  * or one micro-batch at a time. The copy's `columns` are the plans' reads
-  * and their [[Dependents.words]]: one bit per distinct atom, so Catalyst
-  * tests each atom once per row, and a pattern tags a row where all of its
-  * atoms' bits are set. The watermark is the largest `ts` fed; a row below
-  * the watermark of the earlier batches is late and dropped.
+/** The scheduler's dependents, and the master's copy of the stream they
+  * read: every plan evaluated on the driver over the copy, fed in `ts`
+  * order, at once (a bounded run) or one micro-batch at a time. The copy
+  * ([[copy]]) is laid out here, so its rows are read by position: the
+  * plans' reads in schema order, then the atom words, one bit per distinct
+  * atom, so Catalyst tests each atom once per row, and a pattern tags a row
+  * where all of its atoms' bits are set. The watermark is the largest `ts`
+  * fed; a row below the watermark of the earlier batches is late and
+  * dropped.
   *   - A rule plan keeps its patterns' tagged rows and joins each batch's
   *     as the delta of a left-deep hash join in chain order (the matches of
   *     [[EventMatcher.matches]]); its alerts are final at once.
@@ -21,30 +24,51 @@ import Eval.{NumV, SetV, Value}
   *     them; a window whose end is at or below the watermark goes once to
   *     each member's [[QueryEngine.evaluator]].
   */
-final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
+final class Dependents(plans: Seq[QueryPlan]) {
   import Dependents._
 
+  /** The copy's event columns, each one's position, and `ts`'s. */
+  private val columns = SystemEvent.columns.filter(plans.flatMap(_.reads).toSet)
   private val at = columns.zipWithIndex.toMap
   private val ts = columns.indexOf("ts")
   private var watermark = Long.MinValue
 
-  /** Each distinct atom's position `i`: bit `i % 64` of word `i / 64`. */
-  private val index = atoms(plans).zipWithIndex.toMap
+  /** The distinct atoms of the plans' patterns, in plan and chain order. */
+  private val atoms = plans.flatMap(_.conjunctions).flatten.distinct
 
-  /** The copy columns of the atom words, in word order. */
-  private val wordColumns = (0 until (index.size + 63) / 64).map(k => at(word(k))).toArray
+  /** Each distinct atom's position `i`: bit `i % 64` of word `i / 64`. */
+  private val index = atoms.zipWithIndex.toMap
+  private val wordCount = (atoms.size + 63) / 64
+
+  /** The copy's filter and columns, built once for every copy made: the
+    * event columns, then the atom words, where an atom's bit is set if its
+    * Catalyst test is true; a null or false test leaves it unset.
+    */
+  private val filter = Atom.any(plans.flatMap(_.conjunctions))
+  private val projection = columns.map(col) ++ atoms.grouped(64).zipWithIndex.map { case (as, k) =>
+    as.zipWithIndex.map { case (a, i) => when(a.predicate, 1L << i).otherwise(0L) }.reduce(_ bitwiseOR _).as(s"__atoms$k")
+  }
+
+  /** The master's copy of `events` for the plans: the events some plan could
+    * match (one filter, factored on the atoms the plans share), the event
+    * columns the dependents read ([[QueryPlan.reads]], in schema order) and
+    * the atom words. Its per-row code must stay small enough for the JIT to
+    * compile.
+    */
+  def copy(events: DataFrame): DataFrame = events.filter(filter).select(projection: _*)
 
   /** A pattern's mask: per word, the bits of its atoms. */
   private def mask(conjunction: Seq[Atom]): Array[Long] = {
-    val m = new Array[Long](wordColumns.length)
+    val m = new Array[Long](wordCount)
     for (a <- conjunction; i = index(a)) m(i / 64) |= 1L << (i % 64)
     m
   }
 
-  /** A copied row's atom words, read into `into`. */
+  /** A copied row's atom words, its last columns, read into `into`. */
   private def readWords(r: Row, into: Array[Long]): Array[Long] = {
+    val first = r.length - into.length
     var k = 0
-    while (k < into.length) { into(k) = r.getLong(wordColumns(k)); k += 1 }
+    while (k < into.length) { into(k) = r.getLong(first + k); k += 1 }
     into
   }
 
@@ -80,21 +104,19 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
   }
 
   /** A rule plan over its patterns' tagged rows. A match holds one row per
-    * pattern, and `alias__column` reads `column` of the alias's row, as
-    * [[EventMatcher.matches]] names the joined columns. As in Spark, null
-    * equals nothing, equal times are not in order, a pattern with no
-    * condition is a cross join, and without `distinct` every match is an
-    * alert; `distinct` reports each returned row once, at its earliest
-    * detection.
+    * pattern in chain order, and a [[MatchCol]] reads its column of its
+    * alias's row. As in Spark, null equals nothing, equal times are not in
+    * order, a pattern with no condition is a cross join, and without
+    * `distinct` every match is an alert; `distinct` reports each returned
+    * row once, at its earliest detection.
     */
   private def rule(plan: RulePlan, tags: Seq[Array[Long]]): (Seq[Row], Long) => Seq[Seq[AlertRecord]] = {
-    val field = (for ((p, k) <- plan.patterns.zipWithIndex; (c, i) <- at)
-      yield s"${p.alias}__$c" -> (k, i)).toMap
-    def get(m: Seq[Row], c: String): Any = { val (k, i) = field(c); m(k).get(i) }
+    val chainIndex = plan.patterns.map(_.alias).zipWithIndex.toMap
+    def get(m: Seq[Row], c: MatchCol): Any = m(chainIndex(c.alias)).get(at(c.column))
     def matches(sides: Seq[Seq[Row]]): Seq[Vector[Row]] =
       plan.patterns.zip(sides).foldLeft(Seq(Vector.empty[Row])) { case (partial, (p, side)) =>
         val (lefts, rights) = p.equalities.unzip
-        val byKey = side.groupBy(r => rights.map(c => r.get(field(c)._2)))
+        val byKey = side.groupBy(r => rights.map(c => r.get(at(c.column))))
         partial.flatMap { m =>
           val key = lefts.map(get(m, _))
           if (key.contains(null)) Nil
@@ -104,7 +126,7 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
       }
     var earlier = tags.map(_ => Vector.empty[Row])
     val reported = mutable.Set.empty[Seq[Any]]
-    val words = new Array[Long](wordColumns.length)
+    val words = new Array[Long](wordCount)
     (rows, _) => {
       val fresh = tags.map(t => rows.filter(r => holds(t, readWords(r, words))))
       val all = earlier.zip(fresh).map { case (e, f) => e ++ f }
@@ -138,7 +160,7 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
     val evaluators = members.map(QueryEngine.evaluator)
     val n = members.size
     val tagged = new Array[Boolean](n)
-    val words = new Array[Long](wordColumns.length)
+    val words = new Array[Long](wordCount)
     // Open window -> group key -> each member's accumulators, null where it has no row.
     val open = mutable.TreeMap.empty[Long, mutable.HashMap[Seq[String], Array[Array[Acc]]]]
     def add(r: Row): Unit = {
@@ -192,26 +214,12 @@ final class Dependents(plans: Seq[QueryPlan], columns: Seq[String]) {
 
 object Dependents {
 
-  private def word(k: Int): String = s"__atoms$k"
-
   /** Whether a row's atom `words` hold every bit of a pattern's `mask`. */
   private def holds(mask: Array[Long], words: Array[Long]): Boolean = {
     var k = 0
     while (k < mask.length && (words(k) & mask(k)) == mask(k)) k += 1
     k == mask.length
   }
-
-  /** The distinct atoms of the plans' patterns, in plan and chain order. */
-  private def atoms(plans: Seq[QueryPlan]): Seq[Atom] = plans.flatMap(_.conjunctions).flatten.distinct
-
-  /** The plans' atom words: the `i`-th distinct atom is bit `i % 64` of
-    * `Long` word `i / 64`, set where its Catalyst test is true; a null or
-    * false test leaves it unset.
-    */
-  def words(plans: Seq[QueryPlan]): Seq[Column] =
-    atoms(plans).grouped(64).zipWithIndex.map { case (as, k) =>
-      as.zipWithIndex.map { case (a, i) => when(a.predicate, 1L << i).otherwise(0L) }.reduce(_ bitwiseOR _).as(word(k))
-    }.toSeq
 
   /** A running state aggregate over non-null inputs, with the values of
     * [[StateMaintainer.aggregates]]: an empty one reads 0, and an integral

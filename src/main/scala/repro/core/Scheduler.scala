@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Observation}
-import org.apache.spark.sql.functions.{col, count, lit}
+import org.apache.spark.sql.functions.{count, lit}
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.saql.Ast._
 
@@ -10,11 +10,12 @@ import repro.saql.Ast._
   *
   * One run makes one copy of the stream: the events any query could match
   * (the OR of every plan's patterns, factored on the tests they share).
-  * That copy is the master's output, one Spark job: the columns the
-  * dependents read and one bit per distinct atom of the patterns. Every
-  * query is a dependent that tags its rows of the copy on the driver from
-  * those bits — rule patterns as a join, stateful queries as window
-  * accumulators — so the stream is scanned once however many queries run.
+  * That copy is the master's output, one Spark job, laid out by
+  * [[Dependents.copy]]: the columns the dependents read and one bit per
+  * distinct atom of the patterns. Every query is a dependent that tags its
+  * rows of the copy on the driver from those bits — rule patterns as a
+  * join, stateful queries as window accumulators — so the stream is scanned
+  * once however many queries run.
   * On a stream, [[runStream]] makes the copy of each micro-batch the same
   * way and feeds it to the same dependents.
   *
@@ -60,33 +61,19 @@ object Scheduler {
                 n * queries.size, wall))
   }
 
-  /** The master's copy of the stream for the plans: the events some plan
-    * could match (one filter, factored on the atoms the plans share), the
-    * columns the dependents read on the driver ([[QueryPlan.reads]]), and
-    * the [[Dependents]]' atom words, one bit per distinct atom. Its per-row
-    * code must stay small enough for the JIT to compile.
-    */
-  def masterCopy(events: DataFrame, plans: Seq[QueryPlan]): DataFrame = {
-    val reads = plans.flatMap(_.reads).toSet
-    StateMaintainer.matchedEvents(events, plans: _*)
-      .select(events.columns.toSeq.filter(reads).map(col) ++ Dependents.words(plans): _*)
-  }
-
   /** SAQL arm: one Spark job makes the master's copy of the stream for all
-    * queries, and every query is a dependent evaluated on the driver over
-    * it. The copy keeps the columns the dependents read plus the
-    * [[Dependents]]' atom words, is collected once, and the same job counts
-    * the stream.
+    * queries ([[Dependents.copy]]), and every query is a dependent evaluated
+    * on the driver over it. The copy is collected once, and the same job
+    * counts the stream.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
     val plans = compile(queries)
+    val dependents = new Dependents(plans)
     val input = Observation()
-    val copy = masterCopy(events.observe(input, count(lit(1)).as("n")), plans)
-    val rows = copy.collect().toSeq
+    val rows = dependents.copy(events.observe(input, count(lit(1)).as("n"))).collect().toSeq
     // Without plans the filter is `false`: Spark reads no row, and observes none.
     val n = input.get.getOrElse("n", 0L).asInstanceOf[Long]
-    val dependents = new Dependents(plans, copy.columns.toSeq)
     val alerts = (dependents.feed(rows) ++ dependents.flush()).groupBy(_.query)
     // One full scan fills the copy; with several queries, each reads it.
     val copied = n + (if (plans.size > 1) rows.size.toLong * plans.size else 0L)
@@ -96,15 +83,15 @@ object Scheduler {
   }
 
   /** Streaming arm: the master copy of each micro-batch of `stream` is one
-    * collected Spark job, fed to one [[Dependents]]; `emit` gets the alerts
-    * that became final in the batch, so a window still open when the stream
-    * stops emits nothing.
+    * collected Spark job, fed to one [[Dependents]], which builds the copy's
+    * columns once for the life of the stream; `emit` gets the alerts that
+    * became final in the batch, so a window still open when the stream stops
+    * emits nothing.
     */
   def runStream(stream: DataFrame, queries: Seq[SaqlQuery])(emit: Seq[AlertRecord] => Unit): StreamingQuery = {
-    val plans = compile(queries)
-    val dependents = new Dependents(plans, masterCopy(stream, plans).columns.toSeq)
+    val dependents = new Dependents(compile(queries))
     val onBatch: (DataFrame, Long) => Unit = { (batch, _) =>
-      val now = dependents.feed(masterCopy(batch, plans).collect().toSeq)
+      val now = dependents.feed(dependents.copy(batch).collect().toSeq)
       if (now.nonEmpty) emit(now)
     }
     stream.writeStream.foreachBatch(onBatch).start()

@@ -45,21 +45,13 @@ object StateMaintainer {
     else math.max(0L, math.floor((ts - w.lengthMs).toDouble / w.slideMs).toLong + 1) to last
   }
 
-  /** Events any of the plans could match: the OR of all their patterns'
-    * atom conjunctions, factored on the atoms they share ([[Atom.any]]; none
-    * without plans). One plan feeds its own state; the scheduler's plans
-    * share one filtered copy of the stream.
-    */
-  def matchedEvents(events: DataFrame, plans: QueryPlan*): DataFrame =
-    events.filter(Atom.any(plans.flatMap(_.conjunctions)))
-
-  /** Per-window, per-group states of a plan: `__win`, group-key columns,
-    * then its state fields.
+  /** Per-window, per-group states of a plan over the events one of its
+    * patterns matches: `__win`, group-key columns, then its state fields.
     */
   def states(events: DataFrame, plan: StatePlan): DataFrame = {
     val keyCols = plan.keys.map { case (label, c) => col(c).as(label) }
     val aggs = plan.aggs.map(a => aggregates(a.func)(col(a.column)).as(a.name))
-    assignWindows(matchedEvents(events, plan), plan.window)
+    assignWindows(events.filter(Atom.any(plan.conjunctions)), plan.window)
       .groupBy(col("__win") +: keyCols: _*).agg(aggs.head, aggs.tail: _*)
   }
 

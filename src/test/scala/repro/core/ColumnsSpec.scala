@@ -56,17 +56,17 @@ class ColumnsSpec extends SparkSpec {
   }
 
   test("compare: LIKE for % patterns, equality otherwise") {
-    val like = df.filter(Columns.compare("subj_exe", "=", "%sql%"))
+    val like = df.filter(Atom("subj_exe", "=", "%sql%").predicate)
     assert(like.count() > 0)
     assert(like.filter(!col("subj_exe").contains("sql")).count() == 0)
-    val eq = df.filter(Columns.compare("subj_exe", "=", "chrome.exe"))
+    val eq = df.filter(Atom("subj_exe", "=", "chrome.exe").predicate)
     assert(eq.select("subj_exe").distinct().count() == 1)
   }
 
   test("compare: numeric comparisons filter numeric columns") {
-    val hi = df.filter(Columns.compare("amount", ">", "50000"))
+    val hi = df.filter(Atom("amount", ">", "50000").predicate)
     assert(hi.filter(col("amount") <= 50000).count() == 0)
-    val eq = df.filter(Columns.compare("agentid", "=", "1"))
+    val eq = df.filter(Atom("agentid", "=", "1").predicate)
     assert(eq.select("agentid").distinct().count() == 1)
   }
 
@@ -74,13 +74,13 @@ class ColumnsSpec extends SparkSpec {
     import spark.implicits._
     val big = Seq(9007199254740992L, 9007199254740993L).toDF("amount")
     def amounts(op: String, v: String): Seq[Long] =
-      big.filter(Columns.compare("amount", op, v)).as[Long].collect().toSeq.sorted
+      big.filter(Atom("amount", op, v).predicate).as[Long].collect().toSeq.sorted
     assert(amounts("=", "9007199254740993") == Seq(9007199254740993L))
     assert(amounts("!=", "9007199254740993") == Seq(9007199254740992L))
     assert(amounts(">", "9007199254740992") == Seq(9007199254740993L))
     assert(amounts("<=", "9007199254740992") == Seq(9007199254740992L))
     // No cast to double: the column compares as it is.
-    assert(!big.filter(Columns.compare("amount", "=", "0")).queryExecution.analyzed.toString.contains("cast"))
+    assert(!big.filter(Atom("amount", "=", "0").predicate).queryExecution.analyzed.toString.contains("cast"))
     assert(amounts(">", "9007199254740992.5") == Nil)
   }
 
@@ -88,12 +88,12 @@ class ColumnsSpec extends SparkSpec {
     import spark.implicits._
     val names = Seq("123", "0123", "abc").toDF("file_name")
     def kept(op: String, v: String): Seq[String] =
-      names.filter(Columns.compare("file_name", op, v)).as[String].collect().toSeq.sorted
+      names.filter(Atom("file_name", op, v).predicate).as[String].collect().toSeq.sorted
     assert(kept("=", "123") == Seq("123"))
     assert(kept("!=", "123") == Seq("0123", "abc"))
     assert(kept("=", "%12%") == Seq("0123", "123"))
     for (op <- Seq("<", ">", "<=", ">="))
-      intercept[IllegalArgumentException](Columns.compare("file_name", op, "123"))
+      intercept[IllegalArgumentException](Atom("file_name", op, "123").predicate)
   }
 
   test("compile rejects a non-numeric literal on a numeric attribute, naming the attribute") {
@@ -123,7 +123,7 @@ class ColumnsSpec extends SparkSpec {
   }
 
   test("compare: negated LIKE") {
-    val notLike = df.filter(Columns.compare("subj_exe", "!=", "%chrome%"))
+    val notLike = df.filter(Atom("subj_exe", "!=", "%chrome%").predicate)
     assert(notLike.filter(col("subj_exe").contains("chrome")).count() == 0)
   }
 
@@ -211,11 +211,24 @@ class ColumnsSpec extends SparkSpec {
       .isInstanceOf[StatePlan])
   }
 
+  test("compile rejects a #time it would ignore, naming the query: one on a rule query, or a second one") {
+    def rejected(src: String): String =
+      intercept[IllegalArgumentException](Columns.compile(Parser.parse(src, "timed"))).getMessage
+    val rule = rejected("proc p write file f as evt1 #time(1 s)\nproc p read file f as evt2\nwith evt1 -> evt2\nreturn p")
+    assert(rule.contains("query 'timed'") && rule.contains("a rule query takes no #time window"), rule)
+    val state = "state ss { n := count(evt1.amount) } group by p\nreturn p, ss.n"
+    val two = rejected(s"proc p write ip i as evt1 #time(10 s)\nproc p read ip i as evt2 #time(20 s)\n$state")
+    assert(two.contains("query 'timed'") && two.contains("different #time windows"), two)
+    val same = Columns.compile(Parser.parse(s"proc p write ip i as evt1 #time(10 s)\nproc p read ip i as evt2 #time(10 s)\n$state"))
+    assert(same.asInstanceOf[StatePlan].window == WindowSpec(10000, 10000))
+  }
+
   test("compile: a pattern's join is its identity equalities and ts orders") {
     val Seq(head, next) = rulePlan(repro.queries.DemoQueries.r2MalwareInfection(0L)).patterns
     assert(head.join.isEmpty)
-    assert(next.equalities == Seq("evt1__obj_exe" -> "evt2__subj_exe", "evt1__obj_pid" -> "evt2__subj_pid"))
-    assert(next.before == Seq("evt1__ts" -> "evt2__ts"))
+    assert(next.equalities == Seq(MatchCol("evt1", "obj_exe") -> MatchCol("evt2", "subj_exe"),
+      MatchCol("evt1", "obj_pid") -> MatchCol("evt2", "subj_pid")))
+    assert(next.before == Seq(MatchCol("evt1", "ts") -> MatchCol("evt2", "ts")))
   }
 
   test("compile rejects a return attribute that is not the group key") {
@@ -262,7 +275,7 @@ class ColumnsSpec extends SparkSpec {
 
   test("compile: a rule query's return evt1.id reads the event id") {
     val r = rulePlan(Parser.parse("proc p1 write file f1 as evt1\nreturn evt1.id, p1"))
-    assert(r.returns == Seq("evt1_id" -> "evt1__event_id", "p1" -> "evt1__subj_exe"))
+    assert(r.returns == Seq("evt1_id" -> MatchCol("evt1", "event_id"), "p1" -> MatchCol("evt1", "subj_exe")))
   }
 
   test("compile records the event columns a plan reads") {

@@ -22,7 +22,7 @@ class DependentsSpec extends SparkSpec {
 
   /** The master copy of `events` for `queries`: its columns, and its rows in `ts` order. */
   private def sortedCopy(events: DataFrame, queries: Seq[SaqlQuery]): (Seq[String], Seq[Row]) = {
-    val copy = Scheduler.masterCopy(events, queries.map(Columns.compile))
+    val copy = new Dependents(queries.map(Columns.compile)).copy(events)
     val ts = copy.columns.indexOf("ts")
     (copy.columns.toSeq, copy.collect().toSeq.sortBy(_.getLong(ts)))
   }
@@ -30,8 +30,8 @@ class DependentsSpec extends SparkSpec {
   /** Each query's alerts from `batches` fed in turn and then flushed, as
     * sorted multisets.
     */
-  private def fed(queries: Seq[SaqlQuery], columns: Seq[String], batches: Seq[Seq[Row]]): Map[String, Seq[String]] = {
-    val dependents = new Dependents(queries.map(Columns.compile), columns)
+  private def fed(queries: Seq[SaqlQuery], batches: Seq[Seq[Row]]): Map[String, Seq[String]] = {
+    val dependents = new Dependents(queries.map(Columns.compile))
     val alerts = (batches.flatMap(dependents.feed) ++ dependents.flush()).groupBy(_.query)
     queries.map(q => q.name -> alerts.getOrElse(q.name, Nil).map(_.toString).sorted).toMap
   }
@@ -48,13 +48,12 @@ class DependentsSpec extends SparkSpec {
   /** Whether `queries` fed `rows` in any cut raise `expected`: one batch, one
     * row per batch, and 20 ScalaCheck-chosen cuts (fixed seed).
     */
-  private def anyCut(queries: Seq[SaqlQuery], columns: Seq[String], rows: Seq[Row],
-                     expected: Map[String, Seq[String]]): Unit = {
-    assert(fed(queries, columns, Seq(rows)) == expected, "one batch")
-    assert(fed(queries, columns, rows.map(Seq(_))) == expected, "one row per batch")
+  private def anyCut(queries: Seq[SaqlQuery], rows: Seq[Row], expected: Map[String, Seq[String]]): Unit = {
+    assert(fed(queries, Seq(rows)) == expected, "one batch")
+    assert(fed(queries, rows.map(Seq(_))) == expected, "one row per batch")
     val cuts = Gen.choose(0, 50).flatMap(n => Gen.listOfN(n, Gen.choose(1, rows.size - 1)))
     val params = SCTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(10L))
-    val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(queries, columns, cut(rows, c)) == expected))
+    val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(queries, cut(rows, c)) == expected))
     assert(res.passed, res.status.toString)
   }
 
@@ -65,15 +64,15 @@ class DependentsSpec extends SparkSpec {
   }
 
   test("the 8 demo queries fed in any cut of the ts-ordered attack copy raise runMasterDependent's alerts") {
-    val (columns, rows) = sortedCopy(attack, demo)
+    val (_, rows) = sortedCopy(attack, demo)
     val expected = batchAlerts(attack, demo)
     assert(expected.values.count(_.nonEmpty) >= 6, expected)
-    assert(fed(demo, columns, Seq(rows)) == expected, "one batch")
+    assert(fed(demo, Seq(rows)) == expected, "one batch")
     val fifty = cut(rows, (1 until 50).map(_ * rows.size / 50))
-    assert(fifty.size == 50 && fed(demo, columns, fifty) == expected, "50 batches")
+    assert(fifty.size == 50 && fed(demo, fifty) == expected, "50 batches")
     val cuts = Gen.choose(0, 50).flatMap(n => Gen.listOfN(n, Gen.choose(1, rows.size - 1)))
     val params = SCTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(10L))
-    val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(demo, columns, cut(rows, c)) == expected))
+    val res = SCTest.check(params, Prop.forAll(cuts)(c => fed(demo, cut(rows, c)) == expected))
     assert(res.passed, res.status.toString)
   }
 
@@ -134,8 +133,8 @@ class DependentsSpec extends SparkSpec {
     // Trained on windows 4 and 5, the invariant sees new addresses in 6 and 7.
     assert(independent("late_invariant").map(_.win) == Seq(6L, 7L))
     val expected = independent.map { case (q, a) => q -> a.map(_.toString).sorted }
-    val (columns, rows) = sortedCopy(events, queries)
-    anyCut(queries, columns, rows, expected)
+    val (_, rows) = sortedCopy(events, queries)
+    anyCut(queries, rows, expected)
   }
 
   test("a pattern's event that arrives before the earlier patterns' still completes the match") {
@@ -148,8 +147,8 @@ class DependentsSpec extends SparkSpec {
     val evs = Seq(file(0, 1000L, "c.exe", "read", "/x"), file(0, 1500L, "b.exe", "read", "/y"),
       file(0, 2000L, "b.exe", "read", "/x"), file(0, 3000L, "a.exe", "write", "/x"))
     val events = df(spark, evs)
-    val (columns, rows) = sortedCopy(events, queries)
-    val oneByOne = fed(queries, columns, rows.map(Seq(_)))
+    val (_, rows) = sortedCopy(events, queries)
+    val oneByOne = fed(queries, rows.map(Seq(_)))
     assert(oneByOne == batchAlerts(events, queries))
     assert(oneByOne == queries.map(q => q.name -> Seq(s"[${q.name}] ts=3000 win=-1 f1=/x, p0=a.exe")).toMap)
   }
@@ -191,7 +190,7 @@ class DependentsSpec extends SparkSpec {
     assert(batchAlerts(events, queries) == expected)
     val (columns, rows) = sortedCopy(events, queries)
     assert(columns.filter(_.startsWith("__atoms")) == Seq("__atoms0", "__atoms1"))
-    anyCut(queries, columns, rows, expected)
+    anyCut(queries, rows, expected)
   }
 
   test("an atom that is null on a copied row leaves its bit unset, so its patterns raise runIndependent's alerts") {
@@ -215,7 +214,7 @@ class DependentsSpec extends SparkSpec {
     assert(expected("not_x").size == 10 && expected("all_a").size == 40, expected)
     assert(expected("not_x_count") != expected("all_count"))
     assert(batchAlerts(events, queries) == expected)
-    val (columns, rows) = sortedCopy(events, queries)
-    anyCut(queries, columns, rows, expected)
+    val (_, rows) = sortedCopy(events, queries)
+    anyCut(queries, rows, expected)
   }
 }

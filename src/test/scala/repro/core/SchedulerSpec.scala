@@ -104,7 +104,7 @@ class SchedulerSpec extends SparkSpec {
   test("every whole-stage method of the demo queries' master copy is small enough to JIT-compile") {
     // The demo queries alone, and on 3 host pairs (24 queries).
     for (queries <- Seq(demo, onHosts(3))) {
-      val copy = Scheduler.masterCopy(attack, queries.map(Columns.compile))
+      val copy = new Dependents(queries.map(Columns.compile)).copy(attack)
       val stats = codegenStringSeq(copy.queryExecution.executedPlan).map(_._3.maxMethodCodeSize)
       // HotSpot never JIT-compiles a method above 8 000 bytes of bytecode
       // (HugeMethodLimit): the copy's per-row code would run interpreted.
@@ -113,17 +113,27 @@ class SchedulerSpec extends SparkSpec {
   }
 
   test("the copy is as wide for the demo queries on 4 host pairs as on one: their reads and one atom word") {
-    def columns(queries: Seq[SaqlQuery]): Seq[String] = Scheduler.masterCopy(attack, queries.map(Columns.compile)).columns.toSeq
+    def columns(queries: Seq[SaqlQuery]): Seq[String] = new Dependents(queries.map(Columns.compile)).copy(attack).columns.toSeq
     val reads = demo.map(Columns.compile).flatMap(_.reads).toSet
     assert(columns(onHosts(1)) == attack.columns.toSeq.filter(reads) :+ "__atoms0")
     assert(columns(onHosts(4)) == columns(onHosts(1)))
+  }
+
+  test("the copy's layout comes from the schema, not from the input's column order") {
+    val reversed = attack.select(attack.columns.reverse.toSeq.map(col): _*)
+    assert(reversed.columns.toSeq != attack.columns.toSeq)
+    val dependents = new Dependents(demo.map(Columns.compile))
+    assert(dependents.copy(reversed).columns.toSeq == dependents.copy(attack).columns.toSeq)
+    val alerts = Scheduler.runMasterDependent(attack, demo).alerts
+    assert(alerts.values.exists(_.nonEmpty))
+    assert(Scheduler.runMasterDependent(reversed, demo).alerts == alerts)
   }
 
   test("the factored filter keeps exactly the rows of the flat OR of the patterns") {
     def ids(events: DataFrame, plans: Seq[QueryPlan]): (Seq[Long], Seq[Long]) = {
       val flat = plans.flatMap(_.conjunctions).map(Atom.all).reduce(_ || _)
       def sorted(d: DataFrame) = d.select("event_id").collect().map(_.getLong(0)).toSeq.sorted
-      (sorted(StateMaintainer.matchedEvents(events, plans: _*)), sorted(events.filter(flat)))
+      (sorted(events.filter(Atom.any(plans.flatMap(_.conjunctions)))), sorted(events.filter(flat)))
     }
     val (demoRows, demoFlat) = ids(attack, demo.map(Columns.compile))
     assert(demoRows.nonEmpty && demoRows == demoFlat)

@@ -52,7 +52,7 @@ class SchedulerStreamSpec extends SparkSpec {
     * largest `ts` of their master copy.
     */
   private def closed(events: DataFrame, queries: Seq[SaqlQuery]): Seq[AlertRecord] = {
-    val watermark = Scheduler.masterCopy(events, queries.map(Columns.compile)).agg(max("ts")).head.getLong(0)
+    val watermark = new Dependents(queries.map(Columns.compile)).copy(events).agg(max("ts")).head.getLong(0)
     val alerts = Scheduler.runMasterDependent(events, queries).alerts
     queries.flatMap(q => alerts(q.name)).filter(a => a.win < 0 || a.ts <= watermark)
   }

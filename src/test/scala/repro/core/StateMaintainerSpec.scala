@@ -46,7 +46,7 @@ class StateMaintainerSpec extends SparkSpec {
   }
 
   test("matched events honour the pattern predicate") {
-    val m = StateMaintainer.matchedEvents(stream, statePlan(q2))
+    val m = stream.filter(Atom.any(statePlan(q2).conjunctions))
     assert(m.filter(col("event_type") =!= "network" || col("op") =!= "write").count() == 0)
   }
 
