@@ -16,14 +16,28 @@ import repro.saql.Parser
   *   [--start 0] [--end <ms>]   replay window, as in the stream replayer UI
   */
 object SaqlCli {
+  private val usage = "usage: SaqlCli <query-name|query-file> [--sf 0.01] " +
+    "[--attack-start 1800000] [--agents 0,1] [--start 0] [--end <ms>]"
+  private val options = Set("--sf", "--attack-start", "--agents", "--start", "--end")
 
   def main(args: Array[String]): Unit = {
-    require(args.nonEmpty, "usage: SaqlCli <query-name|query-file> [options]")
-    val opts = args.drop(1).sliding(2, 2).collect {
-      case Array(k, v) if k.startsWith("--") => k.drop(2) -> v
+    def bad(what: String): Nothing = throw new IllegalArgumentException(s"$usage ($what)")
+    if (args.isEmpty) bad("no query")
+    // Every option is checked here, before Spark starts.
+    val opts = args.drop(1).grouped(2).map {
+      case Array(k, v) if options(k) => k -> v
+      case a => bad(s"bad option '${a.head}'" + (if (options(a.head)) " (no value)" else ""))
     }.toMap
-    val sf = opts.get("sf").map(_.toDouble).getOrElse(0.01)
-    val attackStart = opts.get("attack-start").map(_.toLong).getOrElse(1_800_000L)
+    def opt[A](key: String, default: A)(parse: String => Option[A]): A =
+      opts.get(key).fold(default)(v => parse(v).getOrElse(bad(s"bad value '$v' for $key")))
+    val sf = opt("--sf", 0.01)(_.toDoubleOption.filter(_ > 0))
+    val attackStart = opt("--attack-start", 1_800_000L)(_.toLongOption)
+    val agents = opt("--agents", Seq.empty[Long]) { a =>
+      val ids = a.split(',').toSeq.map(_.toLongOption)
+      Option.when(ids.forall(_.isDefined))(ids.flatten)
+    }
+    val start = opt("--start", 0L)(_.toLongOption)
+    val end = opt("--end", Long.MaxValue)(_.toLongOption)
 
     val q = DemoQueries.all().map(_._2)
       .find(_.name.startsWith(args(0) + "_")).getOrElse {
@@ -37,14 +51,9 @@ object SaqlCli {
     val spark = SparkSession.builder().appName("saql-cli")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
-
-      var stream = AttackTrace.withBackground(spark, sf = sf,
-        attackStartMs = attackStart)
-      val agents = opts.get("agents").toSeq
-        .flatMap(_.split(',').toSeq.map(_.toLong))
-      stream = StreamReplayer.select(stream, agents,
-        opts.get("start").map(_.toLong).getOrElse(0L),
-        opts.get("end").map(_.toLong).getOrElse(Long.MaxValue))
+      val stream = StreamReplayer.select(
+        AttackTrace.withBackground(spark, sf = sf, attackStartMs = attackStart),
+        agents, start, end)
 
       val alerts = QueryEngine.run(stream, plan)
       if (alerts.isEmpty) println("[saql] no alerts")

@@ -24,13 +24,15 @@ final case class SaqlParseException(msg: String, src: String, pos: Int)
 /** Hand-written lexer for SAQL (the paper builds the language with ANTLR 4;
   * ANTLR is unavailable offline, so lexing is done by hand).
   *
-  * Handles `//` line comments, quoted strings, numbers (int/float, at most
-  * one `.`), identifiers (including dotted later at parse level), and the
+  * Handles `//` line comments, quoted strings, numbers (ASCII digits, at
+  * most one `.`), identifiers (including dotted later at parse level), and the
   * multi-char symbols `->`, `:=`, `==`, `!=`, `>=`, `<=`, `&&`, `||`.
   */
 object Lexer {
   private val multi = Seq("->", ":=", "==", "!=", ">=", "<=", "&&", "||")
   private val single = "[]{}(),.|=<>+-*/#"
+  // Not `Char.isDigit`, which holds for any Unicode digit: `toDouble` reads ASCII only.
+  private def isDigit(c: Char): Boolean = c >= '0' && c <= '9'
 
   def tokenize(src: String): Vector[Token] = {
     val out = Vector.newBuilder[Token]
@@ -48,9 +50,9 @@ object Lexer {
         if (i >= n) throw SaqlParseException("unterminated string", src, start)
         i += 1
         out += Token.Str(sb.toString, start)
-      } else if (c.isDigit) {
+      } else if (isDigit(c)) {
         val start = i
-        while (i < n && (src(i).isDigit || src(i) == '.')) i += 1
+        while (i < n && (isDigit(src(i)) || src(i) == '.')) i += 1
         val text = src.substring(start, i)
         if (text.count(_ == '.') > 1) throw SaqlParseException(s"malformed number '$text'", src, start)
         out += Token.Num(text, start)

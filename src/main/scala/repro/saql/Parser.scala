@@ -12,6 +12,9 @@ import Ast._
   * query   := global* pattern+ with? state? invariant? cluster? alert? return
   * pattern := entity ops entity 'as' IDENT ('#' 'time' '(' N unit ')')?
   * entity  := ('proc'|'file'|'ip') IDENT ('[' constraints ']')?
+  * expr    := primary (op primary)*  with op levels, loosest first: '||', '&&',
+  *            cmp, 'union'|'diff', '+'|'-', '*'|'/'; left-associative, but one cmp
+  * cmp     := '==' | '!=' | '<' | '>' | '<=' | '>='   ('=' is not an operator)
   * }}}
   */
 object Parser {
@@ -49,21 +52,38 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
   private def isIdent(t: Token, s: String): Boolean = t match {
     case Ident(`s`, _) => true; case _ => false
   }
+  /** Consume the symbol `s` or keyword `k` if it is next. */
+  private def accept(s: String): Boolean = isSym(peek, s) && { i += 1; true }
+  private def acceptKeyword(k: String): Boolean = isIdent(peek, k) && { i += 1; true }
   private def expectSym(s: String): Unit =
-    if (isSym(peek, s)) i += 1 else fail(s"expected '$s' but found '${peek.text}'")
-  private def expectIdent(): String = next() match {
-    case Ident(t, _) => t
-    case t           => i -= 1; fail(s"expected identifier but found '${t.text}'")
-  }
+    if (!accept(s)) fail(s"expected '$s' but found '${peek.text}'")
   private def expectKeyword(k: String): Unit =
-    if (isIdent(peek, k)) i += 1 else fail(s"expected '$k' but found '${peek.text}'")
+    if (!acceptKeyword(k)) fail(s"expected '$k' but found '${peek.text}'")
+  private def expectIdent(): String = peek match {
+    case Ident(t, _) => i += 1; t
+    case t           => fail(s"expected identifier but found '${t.text}'")
+  }
   private def expectInt(what: String): Int = peek match {
     case Num(s, _) if s.toIntOption.isDefined => i += 1; s.toInt
     case t => fail(s"expected $what (an integer), found '${t.text}'")
   }
+  /** One or more `item`s separated by the symbol `sep`. */
+  private def sepBy[A](sep: String)(item: => A): Seq[A] = {
+    val out = Vector.newBuilder[A]
+    out += item
+    while (accept(sep)) out += item
+    out.result()
+  }
 
-  private val kinds = Map("proc" -> ProcKind, "file" -> FileKind, "ip" -> IpKind)
+  private val kinds = Seq(ProcKind, FileKind, IpKind).map(k => k.keyword -> k).toMap
   private val cmpOps = Set("=", "==", "!=", "<", ">", "<=", ">=")
+
+  /** Binary operators, loosest first, and whether a level chains
+    * (left-associatively); a comparison does not, and `=` is not one.
+    */
+  private val levels: Vector[(Set[String], Boolean)] = Vector(
+    Set("||") -> true, Set("&&") -> true, (cmpOps - "=") -> false,
+    Set("union", "diff") -> true, Set("+", "-") -> true, Set("*", "/") -> true)
 
   // State/invariant names become known as their blocks are parsed, so the
   // expression parser can resolve `ss[0].x` vs `i.dstip` without ambiguity.
@@ -81,11 +101,11 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     val pats = patterns.result()
     if (pats.isEmpty) fail("query must declare at least one event pattern")
 
-    val temporal  = if (isIdent(peek, "with")) Some(parseWith()) else None
-    val state     = if (isIdent(peek, "state")) Some(parseState()) else None
-    val invariant = if (isIdent(peek, "invariant")) Some(parseInvariant()) else None
-    val cluster   = if (isIdent(peek, "cluster") && isSym(peek2, "(")) Some(parseCluster()) else None
-    val alert     = if (isIdent(peek, "alert")) { i += 1; Some(parseExpr()) } else None
+    val temporal  = Option.when(acceptKeyword("with"))(sepBy("->")(expectIdent()))
+    val state     = Option.when(acceptKeyword("state"))(parseState())
+    val invariant = Option.when(acceptKeyword("invariant"))(parseInvariant())
+    val cluster   = Option.when(isIdent(peek, "cluster") && isSym(peek2, "(")) { i += 2; parseCluster() }
+    val alert     = Option.when(acceptKeyword("alert"))(parseExpr())
     val ret       = parseReturn()
     peek match {
       case Eof(_) => ()
@@ -100,33 +120,32 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     val out = Vector.newBuilder[GlobalConstraint]
     while (peek.isInstanceOf[Ident] && !kinds.contains(peek.text) &&
            peek2.isInstanceOf[Sym] && cmpOps.contains(peek2.text)) {
-      val attr = expectIdent()
-      val op   = next().text
-      val v    = parseValue()
-      out += GlobalConstraint(attr, if (op == "==") "=" else op, v)
+      out += GlobalConstraint(expectIdent(), parseCmpOp(), parseValue())
     }
     out.result()
   }
 
-  private def parseValue(): String = next() match {
-    case Str(s, _)   => s
-    case Num(s, _)   => s
-    case Ident(s, _) => s
-    case t           => i -= 1; fail(s"expected a value but found '${t.text}'")
+  /** A constraint's comparison operator; `==` is read as `=`. */
+  private def parseCmpOp(): String = peek match {
+    case Sym(o, _) if cmpOps.contains(o) => i += 1; if (o == "==") "=" else o
+    case t => fail(s"expected comparison op but found '${t.text}'")
+  }
+
+  private def parseValue(): String = peek match {
+    case _: Str | _: Num | _: Ident => next().text
+    case t                          => fail(s"expected a value but found '${t.text}'")
   }
 
   // --------------------------------------------------------------- patterns
 
   private def parsePattern(): EventPattern = {
     val subj = parseEntity()
-    val ops  = Vector.newBuilder[String]
-    ops += expectIdent()
-    while (isSym(peek, "||")) { i += 1; ops += expectIdent() }
-    val obj = parseEntity()
+    val ops  = sepBy("||")(expectIdent())
+    val obj  = parseEntity()
     expectKeyword("as")
     val alias  = expectIdent()
-    val window = if (isSym(peek, "#")) Some(parseWindow()) else None
-    EventPattern(subj, ops.result(), obj, alias, window)
+    val window = Option.when(accept("#"))(parseWindow())
+    EventPattern(subj, ops, obj, alias, window)
   }
 
   private def parseEntity(): EntityDecl = {
@@ -134,37 +153,25 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       fail(s"expected entity kind (proc/file/ip) but found '${peek.text}'"))
     i += 1
     val name  = expectIdent()
-    val preds = if (isSym(peek, "[")) parsePreds(kind) else Nil
+    val preds = if (accept("[")) parsePreds(kind) else Nil
     EntityDecl(kind, name, preds)
   }
 
   /** `["%cmd.exe"]` (default-attribute LIKE) or `[dstip="x", port=443]`. */
   private def parsePreds(kind: EntityKind): Seq[AttrPredicate] = {
-    expectSym("[")
-    val out = Vector.newBuilder[AttrPredicate]
-    peek match {
-      case Str(s, _) => i += 1; out += AttrPredicate(kind.defaultAttr, "=", s)
-      case _ =>
-        var done = false
-        while (!done) {
-          val attr = expectIdent()
-          val op   = next() match {
-            case Sym(o, _) if cmpOps.contains(o) => if (o == "==") "=" else o
-            case t => i -= 1; fail(s"expected comparison op but found '${t.text}'")
-          }
-          out += AttrPredicate(attr, op, parseValue())
-          if (isSym(peek, ",")) i += 1 else done = true
-        }
+    val out = peek match {
+      case Str(s, _) => i += 1; Seq(AttrPredicate(kind.defaultAttr, "=", s))
+      case _         => sepBy(",")(AttrPredicate(expectIdent(), parseCmpOp(), parseValue()))
     }
     expectSym("]")
-    out.result()
+    out
   }
 
-  /** `#time(10 min)` or `#time(10 min, 5 min)` (length, slide). */
+  /** `time(10 min)` or `time(10 min, 5 min)` (length, slide), after `#`. */
   private def parseWindow(): WindowSpec = {
-    expectSym("#"); expectKeyword("time"); expectSym("(")
+    expectKeyword("time"); expectSym("(")
     val len = parseDuration()
-    val slide = if (isSym(peek, ",")) { i += 1; parseDuration() } else len
+    val slide = if (accept(",")) parseDuration() else len
     expectSym(")")
     WindowSpec(len, slide)
   }
@@ -172,9 +179,9 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
   /** A positive duration in ms; zero or below 1 ms fails at its number. */
   private def parseDuration(): Long = {
     val at = i
-    val n = next() match {
-      case Num(s, _) => s.toDouble
-      case t         => i -= 1; fail(s"expected a number but found '${t.text}'")
+    val n = peek match {
+      case t: Num => i += 1; t.value
+      case t      => fail(s"expected a number but found '${t.text}'")
     }
     val unit = expectIdent()
     val ms = unit match {
@@ -190,20 +197,11 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     d
   }
 
-  private def parseWith(): Seq[String] = {
-    expectKeyword("with")
-    val out = Vector.newBuilder[String]
-    out += expectIdent()
-    while (isSym(peek, "->")) { i += 1; out += expectIdent() }
-    out.result()
-  }
-
   // ----------------------------------------------------------------- state
 
+  /** `[k] ss { name := fn(ref) ... } group by ref, ...`, after `state`. */
   private def parseState(): StateBlock = {
-    expectKeyword("state")
-    val hist = if (isSym(peek, "[")) {
-      i += 1
+    val hist = if (accept("[")) {
       val n = expectInt("window-history count")
       expectSym("]"); n
     } else 1
@@ -211,7 +209,7 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     stateName = Some(name)
     expectSym("{")
     val defs = Vector.newBuilder[StateDef]
-    while (!isSym(peek, "}")) {
+    while (!accept("}")) {
       val dn = expectIdent()
       expectSym(":=")
       val fn = expectIdent()
@@ -220,29 +218,24 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       expectSym(")")
       defs += StateDef(dn, fn, arg)
     }
-    expectSym("}")
     expectKeyword("group"); expectKeyword("by")
-    val keys = Vector.newBuilder[FieldRef]
-    keys += parseFieldRef()
-    while (isSym(peek, ",")) { i += 1; keys += parseFieldRef() }
-    StateBlock(hist, name, defs.result(), keys.result())
+    StateBlock(hist, name, defs.result(), sepBy(",")(parseFieldRef()))
   }
 
   private def parseFieldRef(): FieldRef = {
     val v = expectIdent()
-    if (isSym(peek, ".")) { i += 1; FieldRef(v, Some(expectIdent())) }
-    else FieldRef(v, None)
+    FieldRef(v, Option.when(accept("."))(expectIdent()))
   }
 
   // ------------------------------------------------------------- invariant
 
+  /** `[n][offline] { a := init  a = update }`, after `invariant`. */
   private def parseInvariant(): InvariantBlock = {
-    expectKeyword("invariant")
     expectSym("[")
     val train = expectInt("training-window count")
     expectSym("]")
-    val offline = if (isSym(peek, "[")) {
-      i += 1; val m = expectIdent(); expectSym("]")
+    val offline = if (accept("[")) {
+      val m = expectIdent(); expectSym("]")
       m match {
         case "offline" => true
         case "online"  => false
@@ -264,19 +257,17 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
 
   // --------------------------------------------------------------- cluster
 
+  /** `points=all(...), distance="ed", method="DBSCAN(e, n)")`, after `cluster(`. */
   private def parseCluster(): ClusterBlock = {
-    expectKeyword("cluster"); expectSym("(")
     expectKeyword("points"); expectSym("=")
     expectKeyword("all"); expectSym("(")
-    val pts = Vector.newBuilder[FieldRef]
-    pts += parseFieldRef()
-    while (isSym(peek, ",")) { i += 1; pts += parseFieldRef() }
+    val pts = sepBy(",")(parseFieldRef())
     expectSym(")")
     expectSym(",")
     expectKeyword("distance"); expectSym("=")
-    val dist = next() match {
-      case Str(s, _) => s
-      case t         => i -= 1; fail(s"expected distance string, found '${t.text}'")
+    val dist = peek match {
+      case Str(s, _) => i += 1; s
+      case t         => fail(s"expected distance string, found '${t.text}'")
     }
     expectSym(",")
     expectKeyword("method"); expectSym("=")
@@ -287,74 +278,37 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     }
     i += 1
     expectSym(")")
-    ClusterBlock(pts.result(), dist, m, args)
+    ClusterBlock(pts, dist, m, args)
   }
 
   // ---------------------------------------------------------------- return
 
   private def parseReturn(): ReturnStmt = {
     expectKeyword("return")
-    val distinct = if (isIdent(peek, "distinct")) { i += 1; true } else false
-    val items = Vector.newBuilder[Expr]
-    items += parseExpr()
-    while (isSym(peek, ",")) { i += 1; items += parseExpr() }
-    ReturnStmt(distinct, items.result())
+    val distinct = acceptKeyword("distinct")
+    ReturnStmt(distinct, sepBy(",")(parseExpr()))
   }
 
   // ----------------------------------------------------------- expressions
 
-  private def parseExpr(): Expr = parseOr()
-
-  private def parseOr(): Expr = {
-    var l = parseAnd()
-    while (isSym(peek, "||")) { i += 1; l = Bin("||", l, parseAnd()) }
-    l
-  }
-
-  private def parseAnd(): Expr = {
-    var l = parseCmp()
-    while (isSym(peek, "&&")) { i += 1; l = Bin("&&", l, parseCmp()) }
-    l
-  }
-
-  private def parseCmp(): Expr = {
-    val l = parseSetOp()
-    peek match {
-      case Sym(op, _) if cmpOps.contains(op) && op != "=" =>
-        i += 1; Bin(op, l, parseSetOp())
-      case _ => l
+  /** An expression whose binary operators are those of `levels(level)` or
+    * tighter. A quoted "+" is a string, not an operator.
+    */
+  private def parseExpr(level: Int = 0): Expr =
+    if (level == levels.size) parsePrimary()
+    else {
+      val (ops, chains) = levels(level)
+      var l = parseExpr(level + 1)
+      var more = true
+      while (more && ops.contains(peek.text) && !peek.isInstanceOf[Str]) {
+        l = Bin(next().text, l, parseExpr(level + 1))
+        more = chains
+      }
+      l
     }
-  }
-
-  private def parseSetOp(): Expr = {
-    var l = parseAdd()
-    while (isIdent(peek, "union") || isIdent(peek, "diff")) {
-      val op = next().text
-      l = Bin(op, l, parseAdd())
-    }
-    l
-  }
-
-  private def parseAdd(): Expr = {
-    var l = parseMul()
-    while (isSym(peek, "+") || isSym(peek, "-")) {
-      val op = next().text
-      l = Bin(op, l, parseMul())
-    }
-    l
-  }
-
-  private def parseMul(): Expr = {
-    var l = parsePrimary()
-    while (isSym(peek, "*") || isSym(peek, "/")) {
-      val op = next().text
-      l = Bin(op, l, parsePrimary())
-    }
-    l
-  }
 
   private def parsePrimary(): Expr = peek match {
-    case Num(s, _) => i += 1; NumLit(s.toDouble)
+    case t: Num => i += 1; NumLit(t.value)
     case Str(s, _) => i += 1; StrLit(s)
     case Sym("(", _) =>
       i += 1; val e = parseExpr(); expectSym(")"); e
@@ -367,13 +321,11 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       ClusterOutlier
     case Ident(name, _) =>
       i += 1
-      if (isSym(peek, "[")) { // ss[0].field
-        i += 1
+      if (accept("[")) { // ss[0].field
         val idx = expectInt("state index")
         expectSym("]"); expectSym(".")
         StateRef(name, idx, expectIdent())
-      } else if (isSym(peek, ".")) {
-        i += 1
+      } else if (accept(".")) {
         val field = expectIdent()
         if (stateName.contains(name)) StateRef(name, 0, field)
         else AttrRef(FieldRef(name, Some(field)))

@@ -1,6 +1,9 @@
 package repro.saql
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
+import repro.core.Columns
 import Ast._
 
 /** Parses the paper's Queries 1–4 verbatim plus each clause in isolation. */
@@ -230,6 +233,26 @@ class ParserSpec extends AnyFunSuite {
       Bin(">", StateRef("ss", 0, "x"), Bin("+", NumLit(1), Bin("*", NumLit(2), NumLit(3)))))
   }
 
+  test("precedence: levels group left, set ops sit between + and a comparison, which does not chain") {
+    val prefix = "proc p write ip i as e #time(1 min)\nstate ss { x := avg(e.amount) } group by p\nalert "
+    def alert(e: String): Expr = Parser.parse(prefix + e + "\nreturn p").alert.get
+    val Seq(a, b, c) = Seq("a", "b", "c").map(v => AttrRef(FieldRef(v, None)))
+    assert(alert("10 - 2 - 3") == Bin("-", Bin("-", NumLit(10), NumLit(2)), NumLit(3)))
+    assert(alert("a / b / c") == Bin("/", Bin("/", a, b), c))
+    assert(alert("a union b diff c") == Bin("diff", Bin("union", a, b), c))
+    assert(alert("a diff b union c") == Bin("union", Bin("diff", a, b), c))
+    assert(alert("a union b + c") == Bin("union", a, Bin("+", b, c)))
+    assert(alert("a - b diff c") == Bin("diff", Bin("-", a, b), c))
+    assert(alert("a union b > c") == Bin(">", Bin("union", a, b), c))
+    assert(alert("a >= b diff c") == Bin(">=", a, Bin("diff", b, c)))
+    assert(alert("a == b") == Bin("==", a, b))
+    for ((e, at) <- Seq("a = b" -> "=", "1 < 2 < 3" -> "< 3")) {
+      val err = intercept[SaqlParseException](alert(e))
+      assert(err.pos == prefix.length + e.indexOf(at) && err.getMessage.contains("expected 'return'"),
+        err.getMessage)
+    }
+  }
+
   test("&& binds tighter than ||") {
     val q = Parser.parse(
       "proc p write ip i as e #time(1 min)\nstate ss { x := avg(e.amount) } group by p\n" +
@@ -315,7 +338,8 @@ class ParserSpec extends AnyFunSuite {
            (stateful + "state ss { s := set(p) } group by p\ninvariant[9999999999] { a := empty_set\na = a }\nreturn p",
              "expected training-window count (an integer), found '9999999999'", 3),
            (cluster + "DBSCAN(abc, 5)\")\nreturn p", "malformed method 'DBSCAN(abc, 5)'", 3),
-           (cluster + "DBSCAN(1, 5\")\nreturn p", "malformed method 'DBSCAN(1, 5'", 3))) {
+           (cluster + "DBSCAN(1, 5\")\nreturn p", "malformed method 'DBSCAN(1, 5'", 3),
+           ("proc p start proc q as e #time(10\u0663 s)\nreturn p", "unexpected character '\u0663'", 1))) {
       val e = intercept[SaqlParseException](Parser.parse(src))
       assert(e.getMessage.contains(message) && e.getMessage.contains(s"line $line,"), e.getMessage)
     }
@@ -333,6 +357,50 @@ class ParserSpec extends AnyFunSuite {
       .contains(WindowSpec(1L, 1L)))
     val unit = "proc p start proc q as e #time(10 fortnight)\nreturn p"
     assert(intercept[SaqlParseException](Parser.parse(unit)).pos == unit.indexOf("fortnight"))
+  }
+
+  test("property: any text parses or raises a positioned parse error, and a parsed query compiles or is rejected") {
+    val keywords = Seq("proc", "file", "ip", "as", "with", "state", "invariant", "cluster", "alert",
+      "return", "distinct", "group", "by", "union", "diff", "empty_set", "time", "points", "all",
+      "distance", "method", "offline", "online", "outlier", "min", "s", "ms", "start", "write")
+    val symbols = Seq("[", "]", "{", "}", "(", ")", ",", ".", "|", "||", "&&", "=", "==", "!=", "<",
+      ">=", "+", "-", "*", "/", "#", "->", ":=")
+    val numbers = Seq("0", "1", "3", "2.5", "1.2.3", "9999999999", "\u0663", "1\u0663", "\uff11")
+    val strings = Seq("\"%x.exe\"", "\"ed\"", "\"DBSCAN(1, 5)\"", "\"DBSCAN(x)\"", "\"", "// c\n")
+    val names = Seq("p", "q", "e", "evt", "ss", "a", "amount", "agentid", "x", "@", "\u00e9")
+    val word = Gen.oneOf(keywords, symbols, numbers, strings, names).flatMap(Gen.oneOf(_))
+    def like(t: Token): Gen[String] = Gen.oneOf(t match {
+      case _: Token.Num => numbers; case _: Token.Str => strings; case _: Token.Sym => symbols
+      case _            => keywords ++ names
+    })
+    val soup = Gen.listOf(word).map(_.mkString(" "))
+    val text = Gen.oneOf(Gen.asciiPrintableStr, Gen.stringOf(Gen.oneOf(
+      Gen.asciiPrintableChar, Gen.oneOf('\u0663', '\u00e9', '\n', '"'), Gen.choose(Char.MinValue, Char.MaxValue))))
+    val mutated = for {
+      src  <- Gen.oneOf(query1, query2, query3, query4)
+      toks  = Lexer.tokenize(src)
+      at    = toks.map(_.pos) // token starts; the last is the end
+      k    <- Gen.choose(0, toks.size - 2)
+      w    <- word
+      v    <- like(toks(k))
+      cut  <- Gen.choose(0, src.length)
+      edit <- Gen.oneOf(
+        src.take(at(k)) + src.drop(at(k + 1)),              // delete token k
+        src.take(at(k)) + w + " " + src.drop(at(k)),        // insert before it
+        src.take(at(k)) + w + " " + src.drop(at(k + 1)),    // replace it
+        src.take(at(k)) + v + " " + src.drop(at(k + 1)),    // replace it with one of its kind
+        src.take(cut))                                      // cut short
+    } yield edit
+    val total = Prop.forAll(Gen.frequency(1 -> text, 1 -> soup, 3 -> mutated)) { src =>
+      try {
+        val q = Parser.parse(src) // a NumberFormatException is an IllegalArgumentException too
+        try Columns.compile(q) catch { case e: IllegalArgumentException if !e.isInstanceOf[NumberFormatException] => () }
+        true
+      } catch { case e: SaqlParseException => e.src == src && 0 <= e.pos && e.pos <= src.length }
+    }
+    val res = SCTest.check(
+      SCTest.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(17L)), total)
+    assert(res.passed, res.status.toString)
   }
 
   private def collectStateRefs(e: Expr): Seq[StateRef] = e match {
