@@ -40,12 +40,13 @@ final class Dependents(plans: Seq[QueryPlan]) {
   private val index = atoms.zipWithIndex.toMap
   private val wordCount = (atoms.size + 63) / 64
 
-  /** The copy's filter and columns, built once for every copy made: the
-    * event columns, then the atom words, where an atom's bit is set if its
-    * Catalyst test is true; a null or false test leaves it unset.
+  /** The copy's filter and columns, built once for every copy made, and
+    * only when one is: the event columns, then the atom words, where an
+    * atom's bit is set if its Catalyst test is true; a null or false test
+    * leaves it unset.
     */
-  private val filter = Atom.any(plans.flatMap(_.conjunctions))
-  private val projection = columns.map(col) ++ atoms.grouped(64).zipWithIndex.map { case (as, k) =>
+  private lazy val filter = Atom.any(plans.flatMap(_.conjunctions))
+  private lazy val projection = columns.map(col) ++ atoms.grouped(64).zipWithIndex.map { case (as, k) =>
     as.zipWithIndex.map { case (a, i) => when(a.predicate, 1L << i).otherwise(0L) }.reduce(_ bitwiseOR _).as(s"__atoms$k")
   }
 

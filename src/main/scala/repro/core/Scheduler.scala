@@ -1,6 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Observation}
+import java.util.concurrent.atomic.AtomicReference
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.{count, lit}
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.saql.Ast._
@@ -15,9 +18,12 @@ import repro.saql.Ast._
   * distinct atom of the patterns. Every query is a dependent that tags its
   * rows of the copy on the driver from those bits — rule patterns as a
   * join, stateful queries as window accumulators — so the stream is scanned
-  * once however many queries run.
+  * once however many queries run. The scheduler keeps the copy the last
+  * run planned: a run with the same plans over the same input, cached the
+  * same way, only runs its job.
   * On a stream, [[runStream]] makes the copy of each micro-batch the same
-  * way and feeds it to the same dependents.
+  * way and feeds it to the same dependents; each batch is a new
+  * `DataFrame`, so each batch's copy is planned afresh.
   *
   * [[ExecStats]] counts what the paper's scheme optimises: stream rows
   * ingested (one full-scan copy per run vs per query) and rows copied
@@ -61,19 +67,43 @@ object Scheduler {
                 n * queries.size, wall))
   }
 
+  /** What a planned master copy depends on: the plans it serves, the input
+    * as the cache manager resolves it, and the cached relations that input
+    * reads. A re-cached input resolves to an equal relation with a new
+    * builder, so the builders are compared by identity.
+    */
+  private final class CopyKey(val plans: Seq[QueryPlan], val input: LogicalPlan, val cached: Seq[AnyRef]) {
+    def sameAs(k: CopyKey): Boolean =
+      plans == k.plans && input == k.input && cached.corresponds(k.cached)(_ eq _)
+  }
+
+  /** The copy the last run collected, and its key. A run takes it out, so
+    * no two runs share a `Dataset`, and puts it back only after a
+    * successful collect.
+    */
+  private val last = new AtomicReference[(CopyKey, DataFrame)]()
+
   /** SAQL arm: one Spark job makes the master's copy of the stream for all
     * queries ([[Dependents.copy]]), and every query is a dependent evaluated
     * on the driver over it. The copy is collected once, and the same job
-    * counts the stream.
+    * counts the stream. A run with the last run's plans, over an input that
+    * resolves to the same cache-substituted plan, collects the last run's
+    * copy again: Spark reuses its analysis, physical plan and generated
+    * code, and runs only the job.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
     val plans = compile(queries)
     val dependents = new Dependents(plans)
-    val input = Observation()
-    val rows = dependents.copy(events.observe(input, count(lit(1)).as("n"))).collect().toSeq
+    val qe = events.queryExecution
+    val input = qe.sparkSession.sessionState.executePlan(qe.analyzed).withCachedData
+    val key = new CopyKey(plans, input, input.collect { case r: InMemoryRelation => r.cacheBuilder: AnyRef })
+    val copy = Option(last.getAndSet(null)).filter(_._1.sameAs(key)).fold(
+      dependents.copy(events.observe("__input", count(lit(1)).as("n"))))(_._2)
+    val rows = copy.collect().toSeq
     // Without plans the filter is `false`: Spark reads no row, and observes none.
-    val n = input.get.getOrElse("n", 0L).asInstanceOf[Long]
+    val n = copy.queryExecution.observedMetrics.get("__input").fold(0L)(_.getLong(0))
+    last.set(key -> copy)
     val alerts = (dependents.feed(rows) ++ dependents.flush()).groupBy(_.query)
     // One full scan fills the copy; with several queries, each reads it.
     val copied = n + (if (plans.size > 1) rows.size.toLong * plans.size else 0L)

@@ -85,6 +85,13 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
     Set("||") -> true, Set("&&") -> true, (cmpOps - "=") -> false,
     Set("union", "diff") -> true, Set("+", "-") -> true, Set("*", "/") -> true)
 
+  /** Parentheses and `|…|` nest at most this deep in one expression. Each
+    * level costs several recursive calls, so a much deeper one would
+    * overflow the stack instead of failing at a token.
+    */
+  private val maxNesting = 100
+  private var nesting = 0
+
   // State/invariant names become known as their blocks are parsed, so the
   // expression parser can resolve `ss[0].x` vs `i.dstip` without ambiguity.
   private var stateName: Option[String] = None
@@ -307,13 +314,22 @@ private final class Parser(src: String, toks: Vector[Token], queryName: String) 
       l
     }
 
+  /** The expression after the opening token that is next, up to `close`;
+    * past [[maxNesting]] levels, a parse error at the opening token.
+    */
+  private def nested(close: String): Expr = {
+    if (nesting == maxNesting) fail(s"expressions nest at most $maxNesting parentheses or |…| deep")
+    nesting += 1; i += 1
+    val e = parseExpr(); expectSym(close)
+    nesting -= 1
+    e
+  }
+
   private def parsePrimary(): Expr = peek match {
     case t: Num => i += 1; NumLit(t.value)
     case Str(s, _) => i += 1; StrLit(s)
-    case Sym("(", _) =>
-      i += 1; val e = parseExpr(); expectSym(")"); e
-    case Sym("|", _) =>
-      i += 1; val e = parseExpr(); expectSym("|"); SetCard(e)
+    case Sym("(", _) => nested(")")
+    case Sym("|", _) => SetCard(nested("|"))
     case Ident("empty_set", _) => i += 1; EmptySet
     case Ident("cluster", _) if isSym(peek2, ".") =>
       i += 2

@@ -28,17 +28,25 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     * the block.
     */
   def sqlExecutions[A](block: => A): (A, Seq[String]) = {
-    val actions = new ConcurrentLinkedQueue[String]
+    val (a, executions) = queryExecutions(block)
+    (a, executions.map(_._1))
+  }
+
+  /** Run `block` and list the SQL executions it issues: each one's action
+    * name and its `QueryExecution`.
+    */
+  def queryExecutions[A](block: => A): (A, Seq[(String, QueryExecution)]) = {
+    val executions = new ConcurrentLinkedQueue[(String, QueryExecution)]
     val listener = new QueryExecutionListener {
-      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = actions.add(f)
-      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = actions.add(f)
+      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = executions.add(f -> qe)
+      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = executions.add(f -> qe)
     }
     ListenerBusDrain(spark.sparkContext)
     spark.listenerManager.register(listener)
     try {
       val a = block
       ListenerBusDrain(spark.sparkContext)
-      (a, actions.asScala.toSeq)
+      (a, executions.asScala.toSeq)
     } finally spark.listenerManager.unregister(listener)
   }
 }

@@ -1,10 +1,14 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentLinkedQueue, Executors}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.debug.codegenStringSeq
 import org.apache.spark.sql.functions.{col, lit, udf, when}
 import repro.SparkSpec
@@ -197,6 +201,93 @@ class SchedulerSpec extends SparkSpec {
       assert(messages.exists(m => m != null && m.contains(cause)), e)
       assert(cached == before)
     }
+  }
+
+  test("a good run after a failing one returns the right alerts") {
+    val queries = repro.queries.DemoQueries.r1InitialCompromise(0L) +: master +: deps
+    val boom = udf((x: Long) => if (x >= 0) throw new IllegalStateException("boom") else x)
+    val reference = Scheduler.runIndependent(stream, queries).alerts
+    assert(Scheduler.runMasterDependent(stream, queries).alerts == reference)
+    // One partition, so the failure is one failed task in the log.
+    intercept[Exception](Scheduler.runMasterDependent(stream.coalesce(1).withColumn("amount", boom(col("amount"))), queries))
+    assert(Scheduler.runMasterDependent(stream, queries).alerts == reference)
+  }
+
+  // ------------------------------------------------ a planned copy reused
+
+  /** The one collect of a master-dependent run, and the run. */
+  private def collected(events: DataFrame, queries: Seq[SaqlQuery]): (Scheduler.ScheduledRun, QueryExecution) = {
+    val (run, executions) = queryExecutions(Scheduler.runMasterDependent(events, queries))
+    assert(executions.map(_._1) == Seq("collect"), executions.map(_._1))
+    (run, executions.head._2)
+  }
+
+  private def scansCache(qe: QueryExecution): Boolean = qe.executedPlan.exists(_.isInstanceOf[InMemoryTableScanExec])
+
+  test("a second run of the same queries over the same input collects the first run's planned copy") {
+    val (first, planned) = collected(attack, demo)
+    val (second, reused) = collected(attack, demo)
+    assert(reused eq planned)
+    assert(second.alerts == first.alerts && second.stats.rowsScanned == first.stats.rowsScanned)
+    assert(second.stats.rowsScanned == attack.count())
+  }
+
+  test("runs over inputs A, B and A again each equal the independent run on their own input") {
+    // B reads A's cache, so only the input's plan tells them apart.
+    val withoutDb = attack.filter(col("agentid") =!= 1L)
+    val runs = for (input <- Seq(attack, withoutDb, attack)) yield {
+      val (run, _) = collected(input, demo)
+      assert(run.alerts == Scheduler.runIndependent(input, demo).alerts)
+      assert(run.stats.rowsScanned == input.count())
+      run
+    }
+    assert(runs(0).alerts != runs(1).alerts && runs(0).stats.rowsScanned != runs(1).stats.rowsScanned)
+    assert(runs(2).alerts == runs(0).alerts)
+  }
+
+  test("caching, uncaching or re-caching the input between runs plans a fresh copy over it") {
+    val sc = spark.sparkContext
+    // A seed no other suite caches, so the input starts uncached.
+    val input = MonitoringData.events(spark, sf = 0.002, seed = 41)
+    val queries = master +: deps
+    val reference = Scheduler.runIndependent(input, queries)
+    val uncached = sc.getPersistentRDDs.size
+    def run(): QueryExecution = {
+      val (r, qe) = collected(input, queries)
+      assert(r.alerts == reference.alerts)
+      qe
+    }
+    assert(!scansCache(run()))
+    input.cache()
+    try {
+      val onCache = run()
+      assert(scansCache(onCache) && sc.getPersistentRDDs.size == uncached + 1)
+      input.unpersist(blocking = true)
+      assert(!scansCache(run()) && sc.getPersistentRDDs.size == uncached)
+      // Cached again after a run over the first cache: the run reads the new cache only.
+      input.cache()
+      val (_, again) = collected(input, queries)
+      input.unpersist(blocking = true)
+      input.cache()
+      val recached = run()
+      assert(!(recached eq again))
+      assert(scansCache(recached) && sc.getPersistentRDDs.size == uncached + 1)
+    } finally input.unpersist(blocking = true)
+    assert(sc.getPersistentRDDs.size == uncached)
+  }
+
+  test("concurrent runs of the same queries over the same input each return the reference") {
+    val reference = Scheduler.runIndependent(attack, demo).alerts
+    val n = attack.count()
+    val pool = Executors.newFixedThreadPool(2)
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
+    try {
+      val runs = Seq.fill(2)(Future(Seq.fill(4)(Scheduler.runMasterDependent(attack, demo))))
+      for (run <- Await.result(Future.sequence(runs), 5.minutes).flatten) {
+        assert(run.alerts == reference)
+        assert(run.stats.rowsScanned == n)
+      }
+    } finally pool.shutdown()
   }
 
   test("a copy without unread columns serves queries that return evt.id and read i.srcport") {

@@ -359,6 +359,25 @@ class ParserSpec extends AnyFunSuite {
     assert(intercept[SaqlParseException](Parser.parse(unit)).pos == unit.indexOf("fortnight"))
   }
 
+  test("error: an expression nested past 100 levels is a parse error at its opening token, not a stack overflow") {
+    val head = "proc p write ip i as evt #time(10 min)\nstate ss { amt := sum(evt.amount) } group by p\nalert "
+    // Each opening token is two characters, so the k-th (from 0) is at head.length + 2k.
+    def alert(opens: Seq[String]): String =
+      head + opens.map(_ + " ").mkString + "ss.amt" + opens.reverse.map(o => if (o == "(") " )" else " |").mkString +
+        " > 0\nreturn p"
+    for (depth <- Seq(101, 1000, 10000); open <- Seq("(", "|", "mixed")) {
+      val opens = Seq.tabulate(depth)(k => if (open == "mixed") Seq("(", "|")(k % 2) else open)
+      val src = alert(opens)
+      val e = intercept[SaqlParseException](Parser.parse(src))
+      assert(e.pos == head.length + 2 * 100 && e.getMessage.contains("nest at most 100"), (depth, open, e.getMessage))
+    }
+    val deepest = Parser.parse(alert(Seq.tabulate(100)(k => Seq("(", "|")(k % 2))))
+    def depth(e: Expr): Int = e match {
+      case Bin(_, l, r) => math.max(depth(l), depth(r)); case SetCard(x) => 1 + depth(x); case _ => 0
+    }
+    assert(depth(deepest.alert.get) == 50)
+  }
+
   test("property: any text parses or raises a positioned parse error, and a parsed query compiles or is rejected") {
     val keywords = Seq("proc", "file", "ip", "as", "with", "state", "invariant", "cluster", "alert",
       "return", "distinct", "group", "by", "union", "diff", "empty_set", "time", "points", "all",
