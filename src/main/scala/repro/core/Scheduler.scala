@@ -72,7 +72,8 @@ object Scheduler {
     * reads. A re-cached input resolves to an equal relation with a new
     * builder, so the builders are compared by identity.
     */
-  private final class CopyKey(val plans: Seq[QueryPlan], val input: LogicalPlan, val cached: Seq[AnyRef]) {
+  private final class CopyKey(val plans: Seq[QueryPlan], val input: LogicalPlan) {
+    val cached: Seq[AnyRef] = input.collect { case r: InMemoryRelation => r.cacheBuilder }
     def sameAs(k: CopyKey): Boolean =
       plans == k.plans && input == k.input && cached.corresponds(k.cached)(_ eq _)
   }
@@ -97,7 +98,7 @@ object Scheduler {
     val dependents = new Dependents(plans)
     val qe = events.queryExecution
     val input = qe.sparkSession.sessionState.executePlan(qe.analyzed).withCachedData
-    val key = new CopyKey(plans, input, input.collect { case r: InMemoryRelation => r.cacheBuilder: AnyRef })
+    val key = new CopyKey(plans, input)
     val copy = Option(last.getAndSet(null)).filter(_._1.sameAs(key)).fold(
       dependents.copy(events.observe("__input", count(lit(1)).as("n"))))(_._2)
     val rows = copy.collect().toSeq
