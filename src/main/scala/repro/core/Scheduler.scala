@@ -1,8 +1,9 @@
 package repro.core
 
+import java.lang.ref.SoftReference
 import java.util.concurrent.atomic.AtomicReference
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.catalyst.plans.logical.{CollectMetrics, LogicalPlan}
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.{count, lit}
 import org.apache.spark.sql.streaming.StreamingQuery
@@ -20,7 +21,7 @@ import repro.saql.Ast._
   * join, stateful queries as window accumulators — so the stream is scanned
   * once however many queries run. The scheduler keeps the copy the last
   * run planned: a run with the same plans over the same input, cached the
-  * same way, only runs its job.
+  * same way, in the same session with the same settings, only runs its job.
   * On a stream, [[runStream]] makes the copy of each micro-batch the same
   * way and feeds it to the same dependents; each batch is a new
   * `DataFrame`, so each batch's copy is planned afresh.
@@ -67,44 +68,61 @@ object Scheduler {
                 n * queries.size, wall))
   }
 
-  /** What a planned master copy depends on: the plans it serves, the input
-    * as the cache manager resolves it, and the cached relations that input
-    * reads. A re-cached input resolves to an equal relation with a new
-    * builder, so the builders are compared by identity.
+  /** A planned master copy and what it was planned for: the plans it
+    * serves, its session and that session's settings, and its input as the
+    * cache manager resolved it, with the cached relations that input reads.
+    * A re-cached input resolves to an equal relation with a new builder, so
+    * the builders are compared by identity.
     */
-  private final class CopyKey(val plans: Seq[QueryPlan], val input: LogicalPlan) {
-    val cached: Seq[AnyRef] = input.collect { case r: InMemoryRelation => r.cacheBuilder }
-    def sameAs(k: CopyKey): Boolean =
-      plans == k.plans && input == k.input && cached.corresponds(k.cached)(_ eq _)
+  private final class Planned(val plans: Seq[QueryPlan], val copy: DataFrame) {
+    private val session = copy.queryExecution.sparkSession
+    private val conf = session.sessionState.conf.getAllConfs
+    // Read after the collect that planned the copy, so it is the input as it resolved then.
+    private lazy val input = copy.queryExecution.withCachedData.collectFirst { case c: CollectMetrics => c.child }.get
+    private lazy val cached = builders(input)
+    private def builders(plan: LogicalPlan): Seq[AnyRef] = plan.collect { case r: InMemoryRelation => r.cacheBuilder }
+
+    /** Whether this copy is the one a fresh plan of `plans` over `events`
+      * would make now. The input is resolved only once the plans match.
+      */
+    def serves(plans: Seq[QueryPlan], events: DataFrame): Boolean = plans == this.plans && {
+      val qe = events.queryExecution
+      qe.sparkSession.eq(session) && session.sessionState.conf.getAllConfs == conf && {
+        val now = session.sessionState.executePlan(qe.analyzed).withCachedData
+        now == input && builders(now).corresponds(cached)(_ eq _)
+      }
+    }
   }
 
-  /** The copy the last run collected, and its key. A run takes it out, so
-    * no two runs share a `Dataset`, and puts it back only after a
-    * successful collect.
+  /** The copy the last run collected. A run takes it out, so no two runs
+    * share a `Dataset`, and puts it back only after a successful collect.
+    * It is held softly: it keeps its plan, generated code and session alive
+    * until the next run replaces it, or until the JVM reclaims it when
+    * memory runs short or it has long gone unused.
     */
-  private val last = new AtomicReference[(CopyKey, DataFrame)]()
+  private val last = new AtomicReference[SoftReference[Planned]]()
 
   /** SAQL arm: one Spark job makes the master's copy of the stream for all
     * queries ([[Dependents.copy]]), and every query is a dependent evaluated
     * on the driver over it. The copy is collected once, and the same job
     * counts the stream. A run with the last run's plans, over an input that
-    * resolves to the same cache-substituted plan, collects the last run's
-    * copy again: Spark reuses its analysis, physical plan and generated
-    * code, and runs only the job.
+    * resolves to the same cache-substituted plan in the same session with
+    * the same settings, collects the last run's copy again: Spark reuses its
+    * analysis, physical plan and generated code, and runs only the job. This
+    * pays off only for a caller that repeats one query set over one
+    * `DataFrame`; any other run plans its copy as if nothing were kept.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
     val t0 = System.nanoTime()
     val plans = compile(queries)
     val dependents = new Dependents(plans)
-    val qe = events.queryExecution
-    val input = qe.sparkSession.sessionState.executePlan(qe.analyzed).withCachedData
-    val key = new CopyKey(plans, input)
-    val copy = Option(last.getAndSet(null)).filter(_._1.sameAs(key)).fold(
-      dependents.copy(events.observe("__input", count(lit(1)).as("n"))))(_._2)
+    val planned = Option(last.getAndSet(null)).flatMap(r => Option(r.get)).filter(_.serves(plans, events))
+      .getOrElse(new Planned(plans, dependents.copy(events.observe("__input", count(lit(1)).as("n")))))
+    val copy = planned.copy
     val rows = copy.collect().toSeq
     // Without plans the filter is `false`: Spark reads no row, and observes none.
     val n = copy.queryExecution.observedMetrics.get("__input").fold(0L)(_.getLong(0))
-    last.set(key -> copy)
+    last.set(new SoftReference(planned))
     val alerts = (dependents.feed(rows) ++ dependents.flush()).groupBy(_.query)
     // One full scan fills the copy; with several queries, each reads it.
     val copied = n + (if (plans.size > 1) rows.size.toLong * plans.size else 0L)

@@ -7,7 +7,7 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.{QueryExecution, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.debug.codegenStringSeq
 import org.apache.spark.sql.functions.{col, lit, udf, when}
@@ -274,6 +274,23 @@ class SchedulerSpec extends SparkSpec {
       assert(scansCache(recached) && sc.getPersistentRDDs.size == uncached + 1)
     } finally input.unpersist(blocking = true)
     assert(sc.getPersistentRDDs.size == uncached)
+  }
+
+  test("a run after a session setting changes plans a fresh copy under the new setting") {
+    val key = "spark.sql.codegen.wholeStage"
+    def generated(qe: QueryExecution): Boolean = qe.executedPlan.exists(_.isInstanceOf[WholeStageCodegenExec])
+    val reference = Scheduler.runIndependent(attack, demo).alerts
+    val (_, planned) = collected(attack, demo)
+    assert(generated(planned))
+    val before = spark.conf.getOption(key)
+    spark.conf.set(key, "false")
+    try {
+      val (run, fresh) = collected(attack, demo)
+      assert(!(fresh eq planned) && !generated(fresh))
+      assert(run.alerts == reference)
+    } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    val (_, restored) = collected(attack, demo)
+    assert(generated(restored))
   }
 
   test("concurrent runs of the same queries over the same input each return the reference") {
